@@ -5,8 +5,9 @@ certificate), ``verify`` (check a user seed set), ``exact`` (exhaustive
 minimum search), ``radius`` (graph propagation radius), ``trace``
 (round-by-round propagation), ``check-paper`` (full reproduction report).
 
-Exit codes: 0 ok, 1 reproduction-report failure, 2 parameter or parse
-error, 3 budget exceeded, 4 regime violation.
+Exit codes: 0 ok, 1 reproduction-report failure or a constructed set that
+fails verification, 2 parameter or parse error, 3 budget exceeded, 4 regime
+violation.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
-from .constructions import RegimeError, construct_kpds, gamma_formula
+from .constructions import ConstructionError, RegimeError, construct_kpds, gamma_formula
 from .exact import (
+    DEFAULT_MAX_CHECKS,
     BudgetExceededError,
     SearchBudget,
     exact_result_to_json,
@@ -34,9 +35,11 @@ from .propagation import (
 )
 from .report import report_to_json_text, run_check_paper
 from .topology import (
+    DEFAULT_MAX_VERTICES,
     Address,
     ParameterDomainError,
     PyramidGraph,
+    _env_int,
     build_wk,
     build_wkp,
     export,
@@ -58,25 +61,17 @@ def parse_seed_set(text: str, C: int) -> list[Address]:
     return [parse_address(p, C) for p in parts]
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterDomainError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    cap = args.budget if args.budget is not None else _env_int("WKPDOM_MAX_CHECKS", 10_000_000)
+    cap = args.budget
+    if cap is None:
+        cap = _env_int("WKPDOM_MAX_CHECKS", DEFAULT_MAX_CHECKS)
     return SearchBudget(max_subset_count=cap)
 
 
 def _max_vertices(args: argparse.Namespace) -> int:
     if getattr(args, "max_vertices", None) is not None:
         return args.max_vertices
-    return _env_int("WKPDOM_MAX_VERTICES", 100_000)
+    return _env_int("WKPDOM_MAX_VERTICES", DEFAULT_MAX_VERTICES)
 
 
 def _pyramid(args: argparse.Namespace) -> PyramidGraph:
@@ -117,6 +112,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     g = _pyramid(args)
     members, provenance = construct_kpds(args.C, args.L, args.k, graph=g)
     cert = make_certificate(g, args.k, [g.ordinal(a) for a in members], provenance)
+    if not cert.is_kpds:
+        raise ConstructionError(
+            f"construction for (C={args.C}, L={args.L}, k={args.k}) failed verification")
     payload = {"C": args.C, "L": args.L, "k": args.k,
                "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json()}
     payload.update(certificate_to_json(g, cert))
@@ -187,9 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def solver_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=None,
-                       help="max propagation checks (default 10^7 or WKPDOM_MAX_CHECKS)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; the solver currently always runs single-threaded")
+                       help=f"max propagation checks (default {DEFAULT_MAX_CHECKS} "
+                            "or WKPDOM_MAX_CHECKS)")
         p.add_argument("--progress", action="store_true",
                        help="print enumeration progress to stderr")
 
@@ -233,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-paper", help="run the full reproduction report")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; the report currently always runs single-threaded")
     p.set_defaults(func=cmd_check_paper)
 
     return parser
@@ -243,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except RegimeError as exc:
@@ -256,6 +249,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParameterDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REPORT_FAIL
 
 
 if __name__ == "__main__":

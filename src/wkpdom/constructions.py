@@ -12,9 +12,9 @@ Four parameter regimes cover all C, L >= 1 and k >= 1:
   vertices spaced three levels apart; size ceil((L+1)/3) is only an upper
   bound on the optimum.
 
-Constructions that depend on non-local propagation behavior (the last two)
-are re-verified by the propagation engine before being returned, so a bug
-surfaces as an exception rather than a silently wrong set.
+The builders only assemble vertex sets and check their own bookkeeping
+(sizes, bridge cliques); whether a set is a k-PDS is decided once, by the
+caller that reports it, with the propagation engine.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .propagation import is_kpds
 from .topology import (
     APEX,
     WKP,
@@ -203,7 +202,6 @@ def construct_general(C: int, L: int, k: int, *, graph: PyramidGraph | None = No
     one from each of the lexicographically smallest cliques that avoid both
     the incoming-endpoint clique and the outgoing-endpoint clique (inside a
     chosen clique: the smallest member that is not extreme in its block).
-    The result is re-verified by propagation before being returned.
     """
     reg = regime_of(C, L, k)
     _require(reg, RegimeTag.GENERAL, "construct_general")
@@ -237,17 +235,14 @@ def construct_general(C: int, L: int, k: int, *, graph: PyramidGraph | None = No
     expected = (C - k - 1) * C ** (L - 2)
     if len(chosen) != expected:
         raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")
-    if not is_kpds(g, k, [g.ordinal(a) for a in chosen]):
-        raise ConstructionError(f"construction for (C={C}, L={L}, k={k}) failed verification")
     return chosen
 
 
-def construct_kc1(C: int, L: int, *, graph: PyramidGraph | None = None) -> set[Address]:
+def construct_kc1(C: int, L: int) -> set[Address]:
     """A (C-1)-PDS of WKP(C, L) of size ceil((L+1)/3) for C>=2, L>=3.
 
     All-zero spine vertices spaced three levels apart; the level pattern
-    depends on L mod 3 and for L=3m includes the apex.  Verified by
-    propagation before being returned.
+    depends on L mod 3 and for L=3m includes the apex.
     """
     reg = regime_of(C, L, C - 1)
     _require(reg, RegimeTag.K_EQ_C_MINUS_1_UPPER, "construct_kc1")
@@ -263,11 +258,6 @@ def construct_kc1(C: int, L: int, *, graph: PyramidGraph | None = None) -> set[A
     expected = (L + 3) // 3
     if len(chosen) != expected:
         raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")
-    g = graph if graph is not None else build_wkp(C, L)
-    if (g.family, g.C, g.L) != (WKP, C, L):
-        raise ParameterDomainError(f"graph {g!r} does not match WKP({C},{L})")
-    if not is_kpds(g, C - 1, [g.ordinal(a) for a in chosen]):
-        raise ConstructionError(f"construction for (C={C}, L={L}, k={C - 1}) failed verification")
     return chosen
 
 
@@ -286,4 +276,4 @@ def construct_kpds(C: int, L: int, k: int, *,
         return construct_level2(C, k), "level2"
     if reg.tag is RegimeTag.GENERAL:
         return construct_general(C, L, k, graph=graph), "general-hamiltonian"
-    return construct_kc1(C, L, graph=graph), kc1_case(L)
+    return construct_kc1(C, L), kc1_case(L)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .constructions import RegimeError
 from .propagation import _cover_step
@@ -21,6 +22,9 @@ from .topology import WKP, ParameterDomainError, PyramidGraph
 
 #: How often the progress callback fires, in propagation checks.
 PROGRESS_INTERVAL = 5_000
+
+#: Default cap on propagation checks per search call.
+DEFAULT_MAX_CHECKS = 10_000_000
 
 ProgressFn = Callable[[int, int, int], None]
 
@@ -33,7 +37,7 @@ class SearchBudget:
     optionally caps the subset size explored.
     """
 
-    max_subset_count: int = 10_000_000
+    max_subset_count: int = DEFAULT_MAX_CHECKS
     max_cardinality: int | None = None
 
     def __post_init__(self) -> None:
@@ -74,15 +78,14 @@ class ExactResult:
     checks_performed: int
 
 
-def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
-             witness_cap: int = 1000, progress: ProgressFn | None = None) -> ExactResult:
-    """Minimum k-power-dominating-set size by ascending exhaustive search.
+def _covering_sets(g: PyramidGraph, k: int, sizes: range, budget: SearchBudget | None,
+                   progress: ProgressFn | None) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The one enumeration loop: every k-PDS among the subsets of each size.
 
-    Finds gamma, collects optimal witnesses (capped), and tracks the minimum
-    radius across every optimal set.  Raises ``BudgetExceededError`` when the
-    budget runs out before gamma is certified; if it runs out while sweeping
-    the rest of gamma's own cardinality level, the result is returned with
-    ``exhausted=False`` instead.
+    Subsets of each size in ``sizes`` are checked in lexicographic order;
+    each k-PDS is yielded with its ``_cover_step`` step, and the scan ends
+    with the first size that holds one.  Every check counts against the
+    budget before it runs; running out raises ``BudgetExceededError``.
     """
     if k < 0:
         raise ParameterDomainError(f"k must be >= 0, got {k}")
@@ -91,24 +94,12 @@ def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
     full = g.full_mask
     n = g.n
     checks = 0
-    max_size = n if budget.max_cardinality is None else min(n, budget.max_cardinality)
-    for size in range(1, max_size + 1):
+    for size in sizes:
         total = math.comb(n, size)
         done = 0
-        witnesses: list[frozenset[int]] = []
-        best_radius: int | float = math.inf
         found = False
         for combo in itertools.combinations(range(n), size):
             if checks >= budget.max_subset_count:
-                if found:
-                    return ExactResult(
-                        gamma=size,
-                        witnesses=tuple(witnesses),
-                        witness_cap=witness_cap,
-                        radius=best_radius,
-                        exhausted=False,
-                        checks_performed=checks,
-                    )
                 raise BudgetExceededError(
                     f"budget of {budget.max_subset_count} checks exhausted while "
                     f"enumerating size {size}; established gamma > {size - 1}",
@@ -125,23 +116,49 @@ def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
             step = _cover_step(masks, full, k, seed)
             if step is not None:
                 found = True
-                best_radius = min(best_radius, 1 + step)
-                if len(witnesses) < witness_cap:
-                    witnesses.append(frozenset(combo))
+                yield combo, step
         if found:
-            return ExactResult(
-                gamma=size,
-                witnesses=tuple(witnesses),
-                witness_cap=witness_cap,
-                radius=best_radius,
-                exhausted=True,
-                checks_performed=checks,
-            )
-    raise BudgetExceededError(
-        f"no k-PDS of size <= {max_size} exists (k={k}); established gamma > {max_size}",
-        gamma_exceeds=max_size,
-        checks_performed=checks,
-    )
+            return
+
+
+def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
+             witness_cap: int = 1000, progress: ProgressFn | None = None) -> ExactResult:
+    """Minimum k-power-dominating-set size by ascending exhaustive search.
+
+    Finds gamma, collects optimal witnesses (capped), and tracks the minimum
+    radius across every optimal set.  Raises ``BudgetExceededError`` when the
+    budget runs out before gamma is certified; if it runs out while sweeping
+    the rest of gamma's own cardinality level, the result is returned with
+    ``exhausted=False`` instead.
+    """
+    max_size = g.n
+    if budget is not None and budget.max_cardinality is not None:
+        max_size = min(max_size, budget.max_cardinality)
+    gamma = 0
+    witnesses: list[frozenset[int]] = []
+    radius: int | float = math.inf
+    try:
+        for combo, step in _covering_sets(g, k, range(1, max_size + 1), budget, progress):
+            gamma = len(combo)
+            radius = min(radius, 1 + step)
+            if len(witnesses) < witness_cap:
+                witnesses.append(frozenset(combo))
+    except BudgetExceededError as exc:
+        if not gamma:
+            raise
+        return ExactResult(gamma, tuple(witnesses), witness_cap, radius,
+                           exhausted=False, checks_performed=exc.checks_performed)
+    # No budget stop, so every subset of sizes 1..gamma (1..max_size if none
+    # covers) was checked.
+    checks = sum(math.comb(g.n, size) for size in range(1, (gamma or max_size) + 1))
+    if not gamma:
+        raise BudgetExceededError(
+            f"no k-PDS of size <= {max_size} exists (k={k}); established gamma > {max_size}",
+            gamma_exceeds=max_size,
+            checks_performed=checks,
+        )
+    return ExactResult(gamma, tuple(witnesses), witness_cap, radius,
+                       exhausted=True, checks_performed=checks)
 
 
 def propagation_radius(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
@@ -170,34 +187,8 @@ def verify_lower_bound(g: PyramidGraph, k: int, bound: int,
     This is the empirical stand-in for the closed formulas' lower-bound
     arguments; bound=1 is vacuously true.
     """
-    if k < 0:
-        raise ParameterDomainError(f"k must be >= 0, got {k}")
-    budget = budget or SearchBudget()
-    masks = g.closed_masks
-    full = g.full_mask
-    n = g.n
-    checks = 0
-    for size in range(1, min(bound, n + 1)):
-        total = math.comb(n, size)
-        done = 0
-        for combo in itertools.combinations(range(n), size):
-            if checks >= budget.max_subset_count:
-                raise BudgetExceededError(
-                    f"budget of {budget.max_subset_count} checks exhausted while "
-                    f"enumerating size {size}; established gamma > {size - 1}",
-                    gamma_exceeds=size - 1,
-                    checks_performed=checks,
-                )
-            checks += 1
-            done += 1
-            if progress is not None and checks % PROGRESS_INTERVAL == 0:
-                progress(size, done, total)
-            seed = 0
-            for v in combo:
-                seed |= 1 << v
-            if _cover_step(masks, full, k, seed) is not None:
-                return False
-    return True
+    sizes = range(1, min(bound, g.n + 1))
+    return next(_covering_sets(g, k, sizes, budget, progress), None) is None
 
 
 def level1_intersection_check(g: PyramidGraph, k: int,
@@ -205,7 +196,7 @@ def level1_intersection_check(g: PyramidGraph, k: int,
     """True iff every minimum k-PDS of WKP(C, 2) contains a level-1 vertex.
 
     Applies to C >= 3 and k in [C-1]; enumerates the full optimal
-    cardinality level.
+    cardinality level once, keeping every optimal set.
     """
     if g.family != WKP or g.L != 2:
         raise RegimeError("the level-1 intersection property is about WKP(C, 2)")
@@ -213,8 +204,7 @@ def level1_intersection_check(g: PyramidGraph, k: int,
         raise RegimeError(f"the level-1 intersection property needs C >= 3, got C={g.C}")
     if not 1 <= k <= g.C - 1:
         raise RegimeError(f"the level-1 intersection property needs k in [C-1], got k={k}")
-    budget = budget or SearchBudget()
-    result = min_kpds(g, k, budget)
+    result = min_kpds(g, k, budget, witness_cap=sys.maxsize)
     if not result.exhausted:
         raise BudgetExceededError(
             f"needs every size-{result.gamma} set enumerated; budget ran out",
@@ -222,23 +212,7 @@ def level1_intersection_check(g: PyramidGraph, k: int,
             checks_performed=result.checks_performed,
         )
     level1 = set(g.level_ordinals(1))
-    masks = g.closed_masks
-    full = g.full_mask
-    checks = result.checks_performed
-    for combo in itertools.combinations(range(g.n), result.gamma):
-        if checks >= budget.max_subset_count:
-            raise BudgetExceededError(
-                "budget exhausted while re-scanning the optimal cardinality level",
-                gamma_exceeds=result.gamma - 1,
-                checks_performed=checks,
-            )
-        checks += 1
-        seed = 0
-        for v in combo:
-            seed |= 1 << v
-        if _cover_step(masks, full, k, seed) is not None and not level1.intersection(combo):
-            return False
-    return True
+    return all(level1.intersection(witness) for witness in result.witnesses)
 
 
 def exact_result_to_json(g: PyramidGraph, k: int, result: ExactResult) -> dict:

@@ -14,12 +14,12 @@ no randomness.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 from . import reference
 from .constructions import construct_general, construct_kc1, ham_cycle_wk
 from .exact import (
+    DEFAULT_MAX_CHECKS,
     BudgetExceededError,
     SearchBudget,
     level1_intersection_check,
@@ -38,6 +38,7 @@ from .topology import (
     WK,
     WKP,
     Address,
+    _env_int,
     build_wk,
     build_wkp,
     extreme_vertices,
@@ -110,12 +111,6 @@ def _row(criterion: int, claim: str, expected: str, computed: str,
     return ReportRow(criterion, claim, expected, computed, kind if ok else FAIL)
 
 
-def default_budget() -> SearchBudget:
-    """Search budget for report rows; WKPDOM_MAX_CHECKS overrides the cap."""
-    cap = int(os.environ.get("WKPDOM_MAX_CHECKS", "10000000"))
-    return SearchBudget(max_subset_count=cap)
-
-
 # --- criterion 1: exact gamma on two-level pyramids -------------------------
 
 GAMMA_L2_CASES = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 4))
@@ -185,7 +180,7 @@ def _rows_kc1() -> list[ReportRow]:
     for C, L in KC1_CASES:
         g = build_wkp(C, L)
         expected = (L + 3) // 3
-        S = construct_kc1(C, L, graph=g)
+        S = construct_kc1(C, L)
         ok = len(S) == expected and is_kpds(g, C - 1, [g.ordinal(a) for a in S])
         rows.append(_row(4, f"spine set WKP({C},{L}) k={C - 1}",
                          f"verified PDS of size {expected}",
@@ -432,8 +427,11 @@ def _rows_tightness(budget: SearchBudget) -> list[ReportRow]:
 
 
 def run_check_paper(budget: SearchBudget | None = None) -> ReproReport:
-    """Run every reproduction row; deterministic and idempotent."""
-    budget = budget or default_budget()
+    """Run every reproduction row; deterministic and idempotent.
+
+    Without an explicit budget, WKPDOM_MAX_CHECKS overrides the default cap.
+    """
+    budget = budget or SearchBudget(_env_int("WKPDOM_MAX_CHECKS", DEFAULT_MAX_CHECKS))
     rows: list[ReportRow] = []
     rows.extend(_rows_gamma_level2(budget))
     rows.extend(_rows_gamma_general(budget))

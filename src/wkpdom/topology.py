@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 from typing import Iterable, NamedTuple
 
@@ -40,6 +41,17 @@ class ParameterDomainError(ValueError):
 
 class AddressParseError(ParameterDomainError):
     """An address literal does not match the display grammar."""
+
+
+def _env_int(name: str, fallback: int) -> int:
+    """Integer value of environment variable ``name``, or ``fallback`` when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterDomainError(f"{name} must be an integer, got {raw!r}") from None
 
 
 class Address(NamedTuple):
@@ -306,12 +318,17 @@ def gw_subgraph(g: PyramidGraph, w: str | Iterable[int]) -> set[Address]:
         raise ParameterDomainError("level-L blocks are defined on WKP graphs")
     if g.L < 2:
         raise ParameterDomainError("level-L blocks need L >= 2")
+    prefix = _block_prefix(g, w)
+    return {Address(g.L, prefix + (i, j)) for i in range(g.C) for j in range(g.C)}
+
+
+def _block_prefix(g: PyramidGraph, w: str | Iterable[int]) -> tuple[int, ...]:
     prefix = as_digits(w, g.C, what="block prefix")
     if len(prefix) != g.L - 2:
         raise ParameterDomainError(
             f"block prefix must have length L-2={g.L - 2}, got {len(prefix)}"
         )
-    return {Address(g.L, prefix + (i, j)) for i in range(g.C) for j in range(g.C)}
+    return prefix
 
 
 def clique_members(g: PyramidGraph, r: int, prefix: str | Iterable[int]) -> set[Address]:
@@ -329,25 +346,26 @@ def clique_members(g: PyramidGraph, r: int, prefix: str | Iterable[int]) -> set[
 def crossing_edge(g: PyramidGraph, w: str | Iterable[int], w2: str | Iterable[int]) -> EdgeRef | None:
     """The unique level-L edge between the blocks of prefixes w and w2, if any.
 
-    Found by scanning all candidate pairs; returns None when the two blocks
-    are not adjacent (their prefixes are not adjacent in WK(C, L-2)).
+    Cliques stay inside a block, so the only level-L edges leaving block w
+    are the rule-2 bridges of its strings w d d; of those C candidates, the
+    one whose partner has prefix w2 is the edge.  Returns None when the two
+    blocks are not adjacent (their prefixes are not adjacent in WK(C, L-2)).
     """
     if g.family != WKP or g.L < 3:
         raise ParameterDomainError("crossing edges are defined on WKP graphs with L >= 3")
-    a = as_digits(w, g.C, what="block prefix")
-    b = as_digits(w2, g.C, what="block prefix")
+    a = _block_prefix(g, w)
+    b = _block_prefix(g, w2)
     if a == b:
         raise ParameterDomainError("block prefixes must differ")
-    side_a = sorted(g.ordinal(x) for x in gw_subgraph(g, a))
-    side_b = sorted(g.ordinal(x) for x in gw_subgraph(g, b))
     found = None
-    for u in side_a:
-        mask = g.closed_masks[u]
-        for v in side_b:
-            if (mask >> v) & 1:
-                if found is not None:
-                    raise RuntimeError(f"blocks {a} and {b} share more than one edge")
-                found = EdgeRef(min(u, v), max(u, v))
+    for d in range(g.C):
+        u = a + (d, d)
+        v = rule2_partner(u)
+        if v is not None and v[:-2] == b:
+            if found is not None:
+                raise RuntimeError(f"blocks {a} and {b} share more than one edge")
+            i, j = g.ordinal(Address(g.L, u)), g.ordinal(Address(g.L, v))
+            found = EdgeRef(min(i, j), max(i, j))
     return found
 
 

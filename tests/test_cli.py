@@ -1,7 +1,12 @@
 import json
+from pathlib import Path
 
-from wkpdom import graph_from_json
+import pytest
+
+from wkpdom import Address, cli, graph_from_json, propagation
 from wkpdom.cli import main
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "check_paper.json"
 
 
 def run(capsys, *argv):
@@ -59,6 +64,32 @@ class TestConstruct:
         code, _ = run(capsys, "construct", "--C", "3", "--L", "2", "--k", "0")
         assert code == 4
 
+    @pytest.mark.parametrize("C,L,k", [(3, 3, 1), (2, 4, 1), (4, 3, 3), (3, 2, 1)])
+    def test_one_propagation_fixpoint_per_call(self, capsys, monkeypatch, C, L, k):
+        calls = []
+        for name in ("_cover_step", "propagate_fixpoint"):
+            real = getattr(propagation, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(propagation, name, counted)
+        code, out = run(capsys, "construct", "--C", str(C), "--L", str(L), "--k", str(k))
+        assert code == 0
+        assert json.loads(out)["is_kpds"] is True
+        assert calls == ["propagate_fixpoint"]
+
+    def test_failed_verification_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "construct_kpds",
+                            lambda C, L, k, graph=None: ({Address(2, (0, 0))}, "level2"))
+        code = main(["construct", "--C", "3", "--L", "2", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "failed verification" in captured.err
+
 
 class TestVerify:
     def test_apex_is_not_enough(self, capsys):
@@ -107,11 +138,15 @@ class TestExactAndRadius:
                       "--budget", "50")
         assert code == 3
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out = run(capsys, "exact", "--C", "2", "--L", "2", "--k", "1",
-                        "--threads", "4")
-        assert code == 0
-        assert json.loads(out)["gamma"] == 1
+    @pytest.mark.parametrize("verb", ["exact", "radius", "check-paper"])
+    def test_threads_flag_rejected(self, capsys, verb):
+        argv = [verb, "--threads", "4"]
+        if verb != "check-paper":
+            argv += ["--C", "2", "--L", "2", "--k", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestTrace:
@@ -143,6 +178,14 @@ class TestCheckPaper:
         code2, out2 = run(capsys, "check-paper", "--format", "json")
         assert (code2, out2) == (code, out)
 
+    def test_json_report_matches_golden_file(self, capsys, monkeypatch):
+        # Refactors must leave every row byte-identical; a row may only change
+        # together with this file when the claim it checks gets stronger.
+        monkeypatch.delenv("WKPDOM_MAX_CHECKS", raising=False)
+        code, out = run(capsys, "check-paper", "--format", "json")
+        assert code == 0
+        assert out.encode("utf-8") == GOLDEN_REPORT.read_bytes()
+
 
 class TestEnvOverrides:
     def test_budget_cap(self, capsys, monkeypatch):
@@ -154,3 +197,13 @@ class TestEnvOverrides:
         monkeypatch.setenv("WKPDOM_MAX_VERTICES", "10")
         code, _ = run(capsys, "gen", "--C", "3", "--L", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["check-paper"],
+                                      ["exact", "--C", "2", "--L", "2", "--k", "1"]])
+    def test_non_integer_budget_exit_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("WKPDOM_MAX_CHECKS", "abc")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: WKPDOM_MAX_CHECKS must be an integer, got 'abc'\n"

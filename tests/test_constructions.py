@@ -209,7 +209,7 @@ class TestSpineConstruction:
     @pytest.mark.parametrize("C,L", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (2, 6)])
     def test_size_and_validity(self, C, L):
         g = build_wkp(C, L)
-        S = construct_kc1(C, L, graph=g)
+        S = construct_kc1(C, L)
         assert len(S) == (L + 3) // 3
         assert is_kpds(g, C - 1, ordinals(g, S))
 

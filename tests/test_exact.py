@@ -121,6 +121,13 @@ class TestLevel1Intersection:
     def test_holds(self, C, k):
         assert level1_intersection_check(build_wkp(C, 2), k)
 
+    @pytest.mark.parametrize("C,k", [(3, 1), (4, 2)])
+    def test_single_pass_fits_the_search_budget(self, C, k):
+        # the check sweeps the optimal level once, inside min_kpds's own checks
+        g = build_wkp(C, 2)
+        budget = SearchBudget(max_subset_count=min_kpds(g, k).checks_performed)
+        assert level1_intersection_check(g, k, budget)
+
     def test_regime_guard(self, wkp32):
         with pytest.raises(RegimeError):
             level1_intersection_check(wkp32, 3)  # k >= C

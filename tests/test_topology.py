@@ -7,6 +7,7 @@ from wkpdom import (
     APEX,
     Address,
     AddressParseError,
+    EdgeRef,
     ParameterDomainError,
     build_wk,
     build_wkp,
@@ -34,6 +35,16 @@ def sweep_cases(limit=2000):
 
 
 SWEEP = list(sweep_cases())
+
+
+def scan_crossing_edges(g, w, w2):
+    """Brute-force crossing edge: test every vertex pair between the two blocks."""
+    side_a = sorted(g.ordinal(x) for x in gw_subgraph(g, w))
+    side_b = sorted(g.ordinal(x) for x in gw_subgraph(g, w2))
+    found = [EdgeRef(min(u, v), max(u, v)) for u in side_a for v in side_b
+             if g.has_edge(u, v)]
+    assert len(found) <= 1, f"blocks {w} and {w2} share {len(found)} edges"
+    return found[0] if found else None
 
 
 class TestBuilders:
@@ -231,6 +242,16 @@ class TestCrossingEdge:
         g = build_wkp(3, 3)
         with pytest.raises(ParameterDomainError):
             crossing_edge(g, "0", "0")
+
+    @pytest.mark.parametrize("C,L", [(2, 3), (3, 3), (4, 3), (3, 4), (4, 4),
+                                     (5, 3), (2, 5), (3, 5)])
+    def test_matches_scan_of_all_pairs(self, C, L):
+        g = build_wkp(C, L)
+        prefixes = [a.digits for a in build_wk(C, L - 2).vertices]
+        for w in prefixes:
+            for w2 in prefixes:
+                if w != w2:
+                    assert crossing_edge(g, w, w2) == scan_crossing_edges(g, w, w2)
 
     @pytest.mark.parametrize("C,L", [(2, 3), (3, 3), (3, 4), (2, 4)])
     def test_matches_contracted_mesh_adjacency(self, C, L):
