@@ -42,6 +42,7 @@ from .topology import (
     _env_int,
     build_wk,
     build_wkp,
+    check_printable,
     export,
     parse_address,
 )
@@ -109,6 +110,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    check_printable(args.C)  # before the work whose answer could not be printed
     g = _pyramid(args)
     members, provenance = construct_kpds(args.C, args.L, args.k, graph=g)
     cert = make_certificate(g, args.k, [g.ordinal(a) for a in members], provenance)
@@ -135,6 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    check_printable(args.C)  # before the search whose witness could not be printed
     g = _pyramid(args)
     result = min_kpds(g, args.k, _budget(args), progress=_progress_printer(args.progress))
     _emit(exact_result_to_json(g, args.k, result), args)
@@ -158,7 +161,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_check_paper(args: argparse.Namespace) -> int:
-    report = run_check_paper()
+    report = run_check_paper(_budget(args))
     if args.format == "json":
         sys.stdout.write(report_to_json_text(report))
     else:
@@ -183,10 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-vertices", type=int, default=None,
                        help="override the construction size cap")
 
-    def solver_args(p: argparse.ArgumentParser) -> None:
+    def budget_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=None,
                        help=f"max propagation checks (default {DEFAULT_MAX_CHECKS} "
                             "or WKPDOM_MAX_CHECKS)")
+
+    def solver_args(p: argparse.ArgumentParser) -> None:
+        budget_arg(p)
         p.add_argument("--progress", action="store_true",
                        help="print enumeration progress to stderr")
 
@@ -229,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("check-paper", help="run the full reproduction report")
+    budget_arg(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_check_paper)
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 from .constructions import RegimeError
 from .propagation import _cover_step
-from .topology import WKP, ParameterDomainError, PyramidGraph
+from .topology import WKP, ParameterDomainError, PyramidGraph, check_printable
 
 #: How often the progress callback fires, in propagation checks.
 PROGRESS_INTERVAL = 5_000
@@ -216,6 +216,7 @@ def level1_intersection_check(g: PyramidGraph, k: int,
 
 
 def exact_result_to_json(g: PyramidGraph, k: int, result: ExactResult) -> dict:
+    check_printable(g.C)
     witness: Iterable[int] = result.witnesses[0] if result.witnesses else ()
     return {
         "C": g.C,

@@ -3,11 +3,29 @@
 Monitoring seeds on the closed neighborhood of a seed set and then runs
 simultaneous rounds: every monitored vertex with at most k unmonitored
 closed neighbors extends monitoring to its whole closed neighborhood.
-Round i+1 is computed entirely from the frozen round i; cascading within a
-round would shorten radii and is deliberately not done.
+Round t+1 is computed entirely from the frozen monitored set P_t of round
+t; cascading within a round would shorten radii and is deliberately not
+done.
 
-Monitored sets are held as integer bitmasks over vertex ordinals, which
-keeps a round at O(|monitored| * words) with no per-round allocation.
+Rounds only grow: P_0 = N[S] is the union of the closed neighborhoods of
+the seed vertices, each of which has no unmonitored closed neighbor and so
+fires again in round 1; inductively P_t is the union of N[v] over the
+vertices v that fired in round t, and each of those still has no
+unmonitored closed neighbor in round t+1.  Hence P_t is a subset of
+P_{t+1}.
+
+The engine (``_rounds``, the one round loop behind every public call)
+keeps monitored sets as integer bitmasks over vertex ordinals and works
+from a frontier.  Round 1 examines every vertex of P_0.  Round t+1
+examines only the monitored vertices of N[new_t], where new_t = P_t - P_{t-1}
+holds the vertices first monitored in round t.  Any other monitored
+vertex v has no closed neighbor in new_t, so it has exactly as many
+unmonitored closed neighbors as in round t: either it fired then, and
+N[v] is already inside P_t, or it still cannot fire.  Each vertex is new
+in one round only, so a whole fixpoint reads at most |S| + 2n + 2|E|
+closed-neighborhood masks, however many rounds it takes, and does a few
+n-bit integer operations per read.
+
 An intentionally naive mirror of these semantics lives in ``reference``
 and is compared against this engine by the test suite.
 """
@@ -15,20 +33,23 @@ and is compared against this engine by the test suite.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .topology import ParameterDomainError, PyramidGraph
+from .topology import ParameterDomainError, PyramidGraph, check_printable
 
 #: Radius / first-step sentinel for "never monitored".
 NEVER = math.inf
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
+    """Set bits of mask, highest first: clearing the top bit shrinks the int."""
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        v = mask.bit_length() - 1
+        yield v
+        mask ^= 1 << v
 
 
 def _mask_of(g: PyramidGraph, S: Iterable[int]) -> int:
@@ -53,14 +74,36 @@ def _seed_neighborhood(masks: tuple[int, ...], seed_mask: int) -> int:
     return P
 
 
-def _round(masks: tuple[int, ...], k: int, P: int) -> int:
-    """One simultaneous round against the frozen monitored set P."""
+def _rounds(masks: tuple[int, ...], full: int, k: int, P: int) -> Iterator[int]:
+    """Monitored set after each simultaneous round from P; the one round loop.
+
+    The first value is the union of N[v] over the vertices v of P with at
+    most k unmonitored closed neighbors, computed against P alone, for any
+    P.  Later rounds examine only the frontier (see the module docstring),
+    which is exact when P is a union of closed neighborhoods such as N[S].
+    The iterator ends after the first round that monitors nothing new; that
+    round is yielded too.
+    """
+    frontier = P
     nxt = 0
-    not_p = ~P
-    for v in _iter_bits(P):
-        if (masks[v] & not_p).bit_count() <= k:
-            nxt |= masks[v]
-    return nxt
+    while True:
+        not_p = full ^ P  # positive, so & costs no two's-complement copy
+        while frontier:
+            v = frontier.bit_length() - 1
+            m = masks[v]
+            if (m & not_p).bit_count() <= k:
+                nxt |= m
+            frontier ^= 1 << v
+        yield nxt
+        new = nxt & not_p
+        if not new:
+            return
+        P = nxt
+        while new:
+            v = new.bit_length() - 1
+            frontier |= masks[v]
+            new ^= 1 << v
+        frontier &= P
 
 
 def _cover_step(masks: tuple[int, ...], full: int, k: int, seed_mask: int) -> int | None:
@@ -68,32 +111,73 @@ def _cover_step(masks: tuple[int, ...], full: int, k: int, seed_mask: int) -> in
     P = _seed_neighborhood(masks, seed_mask)
     if P == full:
         return 0
-    step = 0
-    while True:
-        nxt = _round(masks, k, P)
-        if nxt == full:
-            return step + 1
-        if nxt == P:
-            return None
-        P = nxt
-        step += 1
+    for step, P in enumerate(_rounds(masks, full, k, P), 1):
+        if P == full:
+            return step
+    return None
+
+
+class _Rounds(Sequence):
+    """The rounds of a trace, each built from ``first_step`` on access.
+
+    Round i is the frozenset of vertices first monitored at a step <= i.
+    Equal to the tuple of those frozensets; its length costs nothing.
+    """
+
+    __slots__ = ("_first_step", "_count")
+
+    def __init__(self, first_step: tuple[int | float, ...], count: int):
+        self._first_step = first_step
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(self._count)))
+        i = operator.index(i)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("round index out of range")
+        return frozenset(v for v, s in enumerate(self._first_step) if s <= i)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _Rounds)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
 class MonitorTrace:
-    """Round-by-round record of one propagation run.
+    """Record of one propagation run: when each vertex became monitored.
 
-    ``rounds[0]`` is the closed neighborhood of the seed; rounds grow
-    monotonically.  The trace ends either at full coverage or with two
-    equal entries witnessing the fixpoint.  ``first_step[v]`` is the round
-    at which v became monitored (0 for the seed's closed neighborhood),
-    or ``NEVER``.
+    ``first_step[v]`` is the round at which v became monitored (0 for the
+    seed's closed neighborhood), or ``NEVER``.  ``round_count`` is the
+    number of rounds, counting round 0.  ``rounds`` derives the monitored
+    set of every round from these two: ``rounds[0]`` is the closed
+    neighborhood of the seed, rounds grow monotonically, and the run ends
+    either at full coverage or with two equal entries witnessing the
+    fixpoint (``(frozenset(), frozenset())`` for an empty seed).
     """
 
     k: int
     seed: frozenset[int]
-    rounds: tuple[frozenset[int], ...]
     first_step: tuple[int | float, ...]
+    round_count: int
+
+    @property
+    def rounds(self) -> Sequence[frozenset[int]]:
+        return _Rounds(self.first_step, self.round_count)
+
+    @property
+    def covered(self) -> bool:
+        """True iff the last round monitors every vertex."""
+        return NEVER not in self.first_step
 
 
 @dataclass(frozen=True)
@@ -123,7 +207,7 @@ def propagate_round(g: PyramidGraph, k: int, P: Iterable[int]) -> set[int]:
     a union of closed neighborhoods, which makes rounds monotone.
     """
     _check_k(k)
-    return set(_iter_bits(_round(g.closed_masks, k, _mask_of(g, P))))
+    return set(_iter_bits(next(_rounds(g.closed_masks, g.full_mask, k, _mask_of(g, P)))))
 
 
 def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrace:
@@ -136,22 +220,19 @@ def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrac
     first: list[int | float] = [NEVER] * g.n
     for v in _iter_bits(P):
         first[v] = 0
-    round_masks = [P]
     step = 0
-    while P != full:
-        nxt = _round(masks, k, P)
-        round_masks.append(nxt)
-        if nxt == P:
-            break
-        step += 1
-        for v in _iter_bits(nxt & ~P):
-            first[v] = step
-        P = nxt
+    if P != full:
+        for step, nxt in enumerate(_rounds(masks, full, k, P), 1):
+            for v in _iter_bits(nxt ^ P):
+                first[v] = step
+            if nxt == full:
+                break
+            P = nxt
     return MonitorTrace(
         k=k,
         seed=frozenset(_iter_bits(seed_mask)),
-        rounds=tuple(frozenset(_iter_bits(m)) for m in round_masks),
         first_step=tuple(first),
+        round_count=step + 1,
     )
 
 
@@ -175,29 +256,34 @@ def make_certificate(g: PyramidGraph, k: int, S: Iterable[int],
                      provenance: str = "user") -> PdsCertificate:
     """Run a full trace for S and package the verdict."""
     trace = propagate_fixpoint(g, k, S)
-    covered = len(trace.rounds[-1]) == g.n
-    radius: int | float = len(trace.rounds) if covered else NEVER
     return PdsCertificate(
         members=frozenset(trace.seed),
-        is_kpds=covered,
-        radius=radius,
+        is_kpds=trace.covered,
+        radius=trace.round_count if trace.covered else NEVER,
         trace=trace,
         provenance=provenance,
     )
 
 
 def _address_list(g: PyramidGraph, ordinals: Iterable[int]) -> list[str]:
+    check_printable(g.C)
     return [str(g.vertices[v]) for v in sorted(ordinals)]
+
+
+def _round_lists(g: PyramidGraph, trace: MonitorTrace) -> list[list[str]]:
+    """Addresses monitored by each round, in ordinal order, one str() per vertex."""
+    check_printable(g.C)
+    named = [(s, str(g.vertices[v])) for v, s in enumerate(trace.first_step) if s != NEVER]
+    return [[a for s, a in named if s <= i] for i in range(trace.round_count)]
 
 
 def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
     """Trace as {k, seed, rounds, radius}; radius is null for a stuck run."""
-    covered = len(trace.rounds[-1]) == g.n
     return {
         "k": trace.k,
         "seed": _address_list(g, trace.seed),
-        "rounds": [_address_list(g, r) for r in trace.rounds],
-        "radius": len(trace.rounds) if covered else None,
+        "rounds": _round_lists(g, trace),
+        "radius": trace.round_count if trace.covered else None,
     }
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from . import reference
 from .constructions import construct_general, construct_kc1, ham_cycle_wk
 from .exact import (
-    DEFAULT_MAX_CHECKS,
     BudgetExceededError,
     SearchBudget,
     level1_intersection_check,
@@ -38,7 +37,6 @@ from .topology import (
     WK,
     WKP,
     Address,
-    _env_int,
     build_wk,
     build_wkp,
     extreme_vertices,
@@ -429,9 +427,10 @@ def _rows_tightness(budget: SearchBudget) -> list[ReportRow]:
 def run_check_paper(budget: SearchBudget | None = None) -> ReproReport:
     """Run every reproduction row; deterministic and idempotent.
 
-    Without an explicit budget, WKPDOM_MAX_CHECKS overrides the default cap.
+    Without a budget the default ``SearchBudget()`` applies; the command line
+    passes ``--budget`` or WKPDOM_MAX_CHECKS through ``cli._budget``.
     """
-    budget = budget or SearchBudget(_env_int("WKPDOM_MAX_CHECKS", DEFAULT_MAX_CHECKS))
+    budget = budget or SearchBudget()
     rows: list[ReportRow] = []
     rows.extend(_rows_gamma_level2(budget))
     rows.extend(_rows_gamma_general(budget))

@@ -83,6 +83,20 @@ class Address(NamedTuple):
 
 APEX = Address(0, ())
 
+
+def check_printable(C: int) -> None:
+    """Refuse to print or parse the addresses of a graph with C > 10.
+
+    Address literals spell one character per digit, so a digit 10 would
+    print as two characters and not parse back.
+    """
+    if C > 10:
+        raise ParameterDomainError(
+            f"addresses are written one character per digit, so they can be printed "
+            f"or parsed for C <= 10 only, got C={C}"
+        )
+
+
 _ADDRESS_RE = re.compile(r"\((\d+),\((\d*)\)\)")
 
 
@@ -90,8 +104,10 @@ def parse_address(text: str, C: int | None = None) -> Address:
     """Parse an address literal such as ``(2,(34))`` or the apex ``(0,(1))``.
 
     Inverse of ``str(address)``.  When ``C`` is given every digit is checked
-    against [C]_0.  Digits are single characters, so parsing supports C <= 10.
+    against [C]_0, and C > 10 is refused: digits are single characters.
     """
+    if C is not None:
+        check_printable(C)
     m = _ADDRESS_RE.fullmatch(text.strip())
     if m is None:
         raise AddressParseError(f"malformed address literal: {text!r}")
@@ -370,7 +386,8 @@ def crossing_edge(g: PyramidGraph, w: str | Iterable[int], w2: str | Iterable[in
 
 
 def export(g: PyramidGraph, format: str = "json") -> bytes:
-    """Serialize a graph to DOT or JSON bytes with deterministic ordering."""
+    """Serialize a graph to DOT or JSON bytes with deterministic ordering (C <= 10)."""
+    check_printable(g.C)
     if format == "json":
         payload = {
             "family": g.family,

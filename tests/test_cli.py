@@ -6,7 +6,8 @@ import pytest
 from wkpdom import Address, cli, graph_from_json, propagation
 from wkpdom.cli import main
 
-GOLDEN_REPORT = Path(__file__).parent / "data" / "check_paper.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN_REPORT = DATA / "check_paper.json"
 
 
 def run(capsys, *argv):
@@ -46,6 +47,20 @@ class TestGen:
     def test_bad_parameters_exit_2(self, capsys):
         code, _ = run(capsys, "gen", "--C", "0", "--L", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--C", "11", "--L", "1"],
+        ["exact", "--C", "11", "--L", "2", "--k", "1", "--budget", "1000"],
+        ["construct", "--C", "11", "--L", "2", "--k", "1"],
+        ["verify", "--C", "11", "--L", "1", "--k", "1", "--set", "(1,(1))"],
+    ])
+    def test_c_above_10_exit_2(self, capsys, argv):
+        # Addresses print one character per digit; (1,(10)) would not parse back.
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "C <= 10" in captured.err
 
 
 class TestConstruct:
@@ -160,6 +175,17 @@ class TestTrace:
         assert doc["rounds"][0] == ["(0,(1))", "(1,(0))", "(1,(1))", "(2,(10))", "(2,(11))"]
         assert len(doc["rounds"]) == 3
 
+    @pytest.mark.parametrize("argv,golden", [
+        (["construct", "--C", "3", "--L", "5", "--k", "2"], "construct_C3_L5_k2.json"),
+        (["trace", "--C", "3", "--L", "4", "--k", "2", "--set", "(3,(000))"],
+         "trace_stuck_C3_L4_k2.json"),
+    ], ids=["spine-construct", "stuck-trace"])
+    def test_trace_output_matches_golden_file(self, capsys, argv, golden):
+        # A 31-round spine certificate and a stuck run whose last round repeats.
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == (DATA / golden).read_bytes()
+
 
 class TestCheckPaper:
     def test_full_report_passes(self, capsys):
@@ -185,6 +211,15 @@ class TestCheckPaper:
         code, out = run(capsys, "check-paper", "--format", "json")
         assert code == 0
         assert out.encode("utf-8") == GOLDEN_REPORT.read_bytes()
+
+    def test_tiny_budget_exits_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setenv("WKPDOM_MAX_CHECKS", "abc")  # the flag wins over the env
+        code = main(["check-paper", "--budget", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: budget of 1 checks exhausted")
+        assert captured.err.count("\n") == 1
 
 
 class TestEnvOverrides:

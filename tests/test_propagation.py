@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -8,8 +9,10 @@ from wkpdom import (
     APEX,
     Address,
     ParameterDomainError,
+    MonitorTrace,
     build_wkp,
     closed_neighborhood,
+    construct_kc1,
     construct_level2,
     is_kpds,
     make_certificate,
@@ -28,6 +31,16 @@ ks = st.integers(min_value=0, max_value=3)
 
 def ordinals(g, addresses):
     return [g.ordinal(a) for a in addresses]
+
+
+class CountingMasks(tuple):
+    """``closed_masks`` that counts how many vertices the engine examines."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
 
 
 class TestClosedNeighborhood:
@@ -109,6 +122,28 @@ class TestFixpoint:
         for a, b in zip(trace.rounds, trace.rounds[1:]):
             assert a <= b
         assert len(trace.rounds) <= g.n + 1
+
+    def test_trace_stores_first_step_only(self, wkp23):
+        assert [f.name for f in dataclasses.fields(MonitorTrace)] == \
+            ["k", "seed", "first_step", "round_count"]
+        trace = propagate_fixpoint(wkp23, 1, [wkp23.ordinal(APEX)])
+        rounds = tuple(trace.rounds)
+        assert trace.rounds == rounds and rounds == trace.rounds
+        assert len(trace.rounds) == trace.round_count == len(rounds)
+        assert trace.rounds[-1] == rounds[-1] and trace.rounds[1:] == rounds[1:]
+        with pytest.raises(IndexError):
+            trace.rounds[len(rounds)]
+
+    @pytest.mark.parametrize("prop", [propagate_fixpoint, radius_of_set])
+    def test_work_is_linear_in_graph_size_not_rounds(self, prop):
+        # The WKP(3,7) k=2 spine needs 127 rounds; every round re-examining
+        # all monitored vertices would read about 127 * n / 2 masks.
+        g = build_wkp(3, 7)
+        S = ordinals(g, construct_kc1(3, 7))
+        g.closed_masks = masks = CountingMasks(g.closed_masks)
+        result = prop(g, 2, S)
+        assert (result.round_count if prop is propagate_fixpoint else result) == 127
+        assert 0 < masks.reads <= 2 * (g.n + 2 * g.edge_count)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=["wkp32", "wkp23"])
     @given(seed=seed_sets, extra=st.integers(min_value=0, max_value=12), k=ks)

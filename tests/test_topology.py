@@ -2,6 +2,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkpdom import (
     APEX,
@@ -282,6 +284,19 @@ class TestExport:
         for g in (build_wkp(3, 2), build_wk(3, 2), build_wkp(2, 3)):
             assert graph_from_json(export(g, "json")) == g
 
+    @given(builder=st.sampled_from([build_wk, build_wkp]),
+           C=st.integers(min_value=1, max_value=10), L=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_json_round_trip_for_every_printable_C(self, builder, C, L):
+        g = builder(C, L)
+        assert graph_from_json(export(g, "json")) == g
+
+    @pytest.mark.parametrize("format", ["json", "dot"])
+    def test_c_above_10_is_refused(self, format):
+        # A digit 10 would print as two characters and not parse back.
+        with pytest.raises(ParameterDomainError, match="C <= 10"):
+            export(build_wkp(11, 1), format)
+
     def test_wkp_2_2_edge_list_length(self):
         doc = json.loads(export(build_wkp(2, 2), "json"))
         assert len(doc["edges"]) == 10
@@ -316,6 +331,10 @@ class TestAddressGrammar:
     def test_malformed(self, bad):
         with pytest.raises(AddressParseError):
             parse_address(bad)
+
+    def test_c_above_10_is_refused(self):
+        with pytest.raises(ParameterDomainError, match="C <= 10"):
+            parse_address("(1,(1))", C=11)
 
     def test_round_trip_over_all_vertices(self, wkp32):
         for a in wkp32.vertices:
