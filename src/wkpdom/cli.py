@@ -28,6 +28,7 @@ from .exact import (
     propagation_radius,
 )
 from .propagation import (
+    _address_list,
     certificate_to_json,
     make_certificate,
     propagate_fixpoint,
@@ -112,7 +113,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     check_printable(args.C)  # before the work whose answer could not be printed
     g = _pyramid(args)
-    members, provenance = construct_kpds(args.C, args.L, args.k, graph=g)
+    members, provenance = construct_kpds(args.C, args.L, args.k)
     cert = make_certificate(g, args.k, [g.ordinal(a) for a in members], provenance)
     if not cert.is_kpds:
         raise ConstructionError(
@@ -129,7 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
     cert = make_certificate(g, args.k, seed)
     payload = {"C": args.C, "L": args.L, "k": args.k,
-               "set": sorted(str(g.vertices[v]) for v in cert.members),
+               "set": _address_list(g, cert.members),
                "is_kpds": cert.is_kpds,
                "radius": None if math.isinf(cert.radius) else cert.radius}
     _emit(payload, args)

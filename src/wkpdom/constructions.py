@@ -23,15 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .topology import (
-    APEX,
-    WKP,
-    Address,
-    ParameterDomainError,
-    PyramidGraph,
-    build_wkp,
-    crossing_edge,
-)
+from .topology import APEX, Address, ParameterDomainError, block_bridge
 
 
 class RegimeError(ValueError):
@@ -181,18 +173,7 @@ def ham_cycle_wk(C: int, m: int) -> HamCycle:
     return HamCycle(C, m, tuple(seq))
 
 
-def _block_of(g: PyramidGraph, ordinal: int) -> tuple[int, ...]:
-    return g.vertices[ordinal].digits[: g.L - 2]
-
-
-def _endpoint_in_block(g: PyramidGraph, edge, block: tuple[int, ...]) -> Address:
-    for ordinal in edge:
-        if _block_of(g, ordinal) == block:
-            return g.vertices[ordinal]
-    raise ConstructionError(f"edge {edge} has no endpoint in block {block}")
-
-
-def construct_general(C: int, L: int, k: int, *, graph: PyramidGraph | None = None) -> set[Address]:
+def construct_general(C: int, L: int, k: int) -> set[Address]:
     """A k-PDS of WKP(C, L) of size (C-k-1) * C^(L-2) for L>=3, C>=3, k<=C-2.
 
     The level-L blocks are threaded into the cyclic order of ``ham_cycle_wk``;
@@ -203,26 +184,19 @@ def construct_general(C: int, L: int, k: int, *, graph: PyramidGraph | None = No
     the incoming-endpoint clique and the outgoing-endpoint clique (inside a
     chosen clique: the smallest member that is not extreme in its block).
     """
-    reg = regime_of(C, L, k)
-    _require(reg, RegimeTag.GENERAL, "construct_general")
-    g = graph if graph is not None else build_wkp(C, L)
-    if (g.family, g.C, g.L) != (WKP, C, L):
-        raise ParameterDomainError(f"graph {g!r} does not match WKP({C},{L})")
+    _require(regime_of(C, L, k), RegimeTag.GENERAL, "construct_general")
     cycle = ham_cycle_wk(C, L - 2).order
     chosen: set[Address] = set()
     for t, block in enumerate(cycle):
-        prev_block = cycle[t - 1]
-        next_block = cycle[(t + 1) % len(cycle)]
-        edge_in = crossing_edge(g, prev_block, block)
-        edge_out = crossing_edge(g, block, next_block)
+        prev_block, next_block = cycle[t - 1], cycle[(t + 1) % len(cycle)]
+        edge_in = block_bridge(prev_block, block, C)
+        edge_out = block_bridge(block, next_block, C)
         if edge_in is None or edge_out is None:
             raise ConstructionError(
                 f"blocks {prev_block}->{block}->{next_block} are not consecutive-adjacent"
             )
-        x_in = _endpoint_in_block(g, edge_in, block)
-        y_out = _endpoint_in_block(g, edge_out, block)
-        clique_in = x_in.digits[-1]
-        clique_out = y_out.digits[-1]
+        clique_in = edge_in[1][-1]
+        clique_out = edge_out[0][-1]
         if clique_in == clique_out:
             raise ConstructionError(
                 f"block {block}: incoming and outgoing bridges attach to the same "
@@ -266,8 +240,7 @@ def kc1_case(L: int) -> str:
     return {0: "kc1-case1", 1: "kc1-case2", 2: "kc1-case3"}[L % 3]
 
 
-def construct_kpds(C: int, L: int, k: int, *,
-                   graph: PyramidGraph | None = None) -> tuple[set[Address], str]:
+def construct_kpds(C: int, L: int, k: int) -> tuple[set[Address], str]:
     """Dispatch to the regime's construction; returns (vertex set, provenance tag)."""
     reg = regime_of(C, L, k)
     if reg.tag is RegimeTag.TRIVIAL_ONE:
@@ -275,5 +248,5 @@ def construct_kpds(C: int, L: int, k: int, *,
     if reg.tag is RegimeTag.LEVEL2:
         return construct_level2(C, k), "level2"
     if reg.tag is RegimeTag.GENERAL:
-        return construct_general(C, L, k, graph=graph), "general-hamiltonian"
+        return construct_general(C, L, k), "general-hamiltonian"
     return construct_kc1(C, L), kc1_case(L)

@@ -135,7 +135,7 @@ def _rows_gamma_general(budget: SearchBudget) -> list[ReportRow]:
     # WKP(4,3) at gamma=8 is out of exhaustive reach: certify the upper bound
     # by construction and probe the lower bound with a bounded enumeration.
     g = build_wkp(4, 3)
-    S = construct_general(4, 3, 1, graph=g)
+    S = construct_general(4, 3, 1)
     ok = len(S) == 8 and is_kpds(g, 1, [g.ordinal(a) for a in S])
     rows.append(_row(2, "construction WKP(4,3) k=1", "verified 1-PDS of size 8",
                      f"size {len(S)}, verified={ok}", ok))
@@ -221,7 +221,7 @@ def _rows_radius_note() -> list[ReportRow]:
     rows = []
     for C, L, k in RADIUS_NOTE_GENERAL:
         g = build_wkp(C, L)
-        S = construct_general(C, L, k, graph=g)
+        S = construct_general(C, L, k)
         bound = max(5, L - 1)
         got = radius_of_set(g, k, [g.ordinal(a) for a in S])
         rows.append(_row(7, f"radius of built set WKP({C},{L}) k={k}", f"<= {bound}",

@@ -17,16 +17,22 @@ Both families address vertices with digit strings over [C]_0 = {0, ..., C-1}:
 
 Graphs are immutable once built and use a canonical vertex order (ascending
 level, then lexicographic digit strings), so ordinals, propagation traces,
-and search witnesses are reproducible across runs.
+and search witnesses are reproducible across runs.  Ordinals are arithmetic:
+with offset(r) the number of vertices on the levels above r
+(1 + C + ... + C^(r-1) in WKP, 0 in WK), vertex (r, a_r ... a_1) has
+ordinal offset(r) + value(a_r ... a_1), the digits read in base C; the apex
+is ordinal 0.  ``graph_from_json`` accepts only canonical documents: the
+vertex and edge lists that ``export`` writes for WK(C, L) or WKP(C, L).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 WK = "WK"
 WKP = "WKP"
@@ -154,36 +160,26 @@ class EdgeRef(NamedTuple):
 
 
 class PyramidGraph:
-    """Immutable indexed adjacency structure for a WK or WKP graph.
+    """Immutable adjacency structure for a WK or WKP graph, built from its rows.
 
-    ``vertices`` is the canonical ordering; ``index`` maps addresses back to
-    ordinals; ``adjacency[i]`` is a sorted tuple of neighbor ordinals.
+    Vertex (r, d) has ordinal ``offsets[r] + value(d)``, the digits read in
+    base C (see the module docstring); ``vertices[i]`` is the address of
+    ordinal i and ``adjacency[i]`` its sorted tuple of neighbor ordinals.
     ``closed_masks[i]`` packs N[v_i] (v_i included) into an int bitmask for
     the propagation engine.
     """
 
-    __slots__ = ("family", "C", "L", "vertices", "index", "adjacency",
+    __slots__ = ("family", "C", "L", "vertices", "adjacency", "offsets",
                  "closed_masks", "full_mask")
 
     def __init__(self, family: str, C: int, L: int,
-                 vertices: Iterable[Address], edges: Iterable[tuple[int, int]]):
-        if family not in (WK, WKP):
-            raise ParameterDomainError(f"unknown graph family {family!r}")
+                 vertices: Iterable[Address], adjacency: Iterable[tuple[int, ...]]):
         self.family = family
         self.C = C
         self.L = L
         self.vertices = tuple(vertices)
-        self.index = {a: i for i, a in enumerate(self.vertices)}
-        n = len(self.vertices)
-        neigh: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterDomainError(f"edge ({u},{v}) out of range for |V|={n}")
-            if u == v:
-                raise ParameterDomainError(f"self-loop at ordinal {u}")
-            neigh[u].add(v)
-            neigh[v].add(u)
-        self.adjacency = tuple(tuple(sorted(s)) for s in neigh)
+        self.adjacency = tuple(adjacency)
+        self.offsets = _level_offsets(family, C, L)
         masks = []
         for i, nbrs in enumerate(self.adjacency):
             m = 1 << i
@@ -191,7 +187,7 @@ class PyramidGraph:
                 m |= 1 << j
             masks.append(m)
         self.closed_masks = tuple(masks)
-        self.full_mask = (1 << n) - 1
+        self.full_mask = (1 << len(self.vertices)) - 1
 
     @property
     def n(self) -> int:
@@ -202,10 +198,12 @@ class PyramidGraph:
         return sum(len(a) for a in self.adjacency) // 2
 
     def ordinal(self, address: Address) -> int:
-        try:
-            return self.index[address]
-        except KeyError:
-            raise ParameterDomainError(f"{address} is not a vertex of {self!r}") from None
+        """offset(r) + value(digits); ParameterDomainError for a non-vertex."""
+        r, digits = address
+        if not ((self.family == WKP or r == self.L) and 0 <= r <= self.L
+                and len(digits) == r and all(0 <= d < self.C for d in digits)):
+            raise ParameterDomainError(f"{address} is not a vertex of {self!r}")
+        return self.offsets[r] + _value(digits, self.C)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
@@ -216,8 +214,8 @@ class PyramidGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (self.closed_masks[u] >> v) & 1 == 1
 
-    def level_ordinals(self, r: int) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.vertices) if a.level == r)
+    def level_ordinals(self, r: int) -> range:
+        return range(self.offsets[r], self.offsets[r + 1]) if 0 <= r <= self.L else range(0)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as ordinal pairs (i, j) with i < j, in canonical order."""
@@ -230,10 +228,21 @@ class PyramidGraph:
                (other.family, other.C, other.L, other.vertices, other.adjacency)
 
     def __hash__(self) -> int:
-        return hash((self.family, self.C, self.L, self.vertices))
+        return hash((self.family, self.C, self.L))
 
     def __repr__(self) -> str:
         return f"PyramidGraph({self.family}({self.C},{self.L}), n={self.n}, m={self.edge_count})"
+
+
+def _level_offsets(family: str, C: int, L: int) -> tuple[int, ...]:
+    """offsets[r] = ordinal of the first level-r vertex, r = 0..L+1; offsets[L+1] = n."""
+    sizes = (C ** r if family == WKP or r == L else 0 for r in range(L + 1))
+    return tuple(itertools.accumulate(sizes, initial=0))
+
+
+def _value(digits: tuple[int, ...], C: int) -> int:
+    """The digit string read as a base-C number."""
+    return functools.reduce(lambda x, d: x * C + d, digits, 0)
 
 
 def _check_parameters(C: int, L: int, count: int, max_vertices: int) -> None:
@@ -264,57 +273,45 @@ def rule2_partner(digits: tuple[int, ...]) -> tuple[int, ...] | None:
     return digits[: r - 1 - t] + (last,) + (c,) * t
 
 
+def _level_rows(C: int, r: int, offset: int) -> Iterator[tuple[Address, list[int]]]:
+    """Each level-r vertex in canonical order with its sorted same-level row.
+
+    The bridge partner lies outside the vertex's clique, the C ordinals from
+    ``i - d[-1]`` on, so it goes before or after the clique as a whole.
+    """
+    for x, d in enumerate(itertools.product(range(C), repeat=r)):
+        i = offset + x
+        base = i - d[-1]
+        row = [j for j in range(base, base + C) if j != i]
+        partner = rule2_partner(d)
+        if partner is not None:
+            p = offset + _value(partner, C)
+            row.insert(0 if p < base else C - 1, p)
+        yield Address(r, d), row
+
+
 def build_wk(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
     """Build the WK-recursive mesh WK(C, L) on C**L vertices.
 
     Vertices carry level L in their address so they share the Address type
     with pyramid vertices; the canonical order is lexicographic on digits.
     """
-    _check_parameters(C, L, C ** L, max_vertices)
-    vertices = [Address(L, t) for t in itertools.product(range(C), repeat=L)]
-    index = {a: i for i, a in enumerate(vertices)}
-    edges: set[tuple[int, int]] = set()
-
-    def add(i: int, j: int) -> None:
-        edges.add((i, j) if i < j else (j, i))
-
-    for i, a in enumerate(vertices):
-        d = a.digits
-        for j in range(C):
-            if j != d[-1]:
-                add(i, index[Address(L, d[:-1] + (j,))])
-        partner = rule2_partner(d)
-        if partner is not None:
-            add(i, index[Address(L, partner)])
-    return PyramidGraph(WK, C, L, vertices, edges)
+    _check_parameters(C, L, C ** max(L, 0), max_vertices)
+    vertices, rows = zip(*_level_rows(C, L, 0))
+    return PyramidGraph(WK, C, L, vertices, map(tuple, rows))
 
 
 def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
     """Build the WK-pyramid WKP(C, L) on 1 + C + C^2 + ... + C^L vertices."""
-    count = 1 + sum(C ** r for r in range(1, L + 1))
-    _check_parameters(C, L, count, max_vertices)
-    vertices = [APEX]
+    _check_parameters(C, L, (C ** (L + 1) - 1) // (C - 1) if C > 1 else L + 1, max_vertices)
+    offsets = _level_offsets(WKP, C, L)
+    vertices, rows = [APEX], [tuple(range(1, C + 1))]
     for r in range(1, L + 1):
-        vertices.extend(Address(r, t) for t in itertools.product(range(C), repeat=r))
-    index = {a: i for i, a in enumerate(vertices)}
-    edges: set[tuple[int, int]] = set()
-
-    def add(i: int, j: int) -> None:
-        edges.add((i, j) if i < j else (j, i))
-
-    for i, a in enumerate(vertices):
-        if a.is_apex:
-            continue
-        r, d = a.level, a.digits
-        for j in range(C):
-            if j != d[-1]:
-                add(i, index[Address(r, d[:-1] + (j,))])
-        partner = rule2_partner(d)
-        if partner is not None:
-            add(i, index[Address(r, partner)])
-        parent = APEX if r == 1 else Address(r - 1, d[:-1])
-        add(i, index[parent])
-    return PyramidGraph(WKP, C, L, vertices, edges)
+        for x, (a, row) in enumerate(_level_rows(C, r, offsets[r])):
+            children = range(offsets[r + 1] + x * C, offsets[r + 1] + x * C + C) if r < L else ()
+            vertices.append(a)
+            rows.append((offsets[r - 1] + x // C, *row, *children))
+    return PyramidGraph(WKP, C, L, vertices, rows)
 
 
 def extreme_vertices(g: PyramidGraph) -> set[Address]:
@@ -359,13 +356,29 @@ def clique_members(g: PyramidGraph, r: int, prefix: str | Iterable[int]) -> set[
     return {Address(r, p + (j,)) for j in range(g.C)}
 
 
+def block_bridge(a: tuple[int, ...], b: tuple[int, ...],
+                 C: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The level-L edge (u, v), u in block a and v in block b, as digit strings.
+
+    Cliques stay inside a block, so the only level-L edges leaving block a
+    are the rule-2 bridges of its strings a d d; of those C candidates, the
+    one whose partner has prefix b is the edge.  None if there is none.
+    """
+    found = None
+    for d in range(C):
+        u = a + (d, d)
+        v = rule2_partner(u)
+        if v is not None and v[:-2] == b:
+            if found is not None:
+                raise RuntimeError(f"blocks {a} and {b} share more than one edge")
+            found = u, v
+    return found
+
+
 def crossing_edge(g: PyramidGraph, w: str | Iterable[int], w2: str | Iterable[int]) -> EdgeRef | None:
     """The unique level-L edge between the blocks of prefixes w and w2, if any.
 
-    Cliques stay inside a block, so the only level-L edges leaving block w
-    are the rule-2 bridges of its strings w d d; of those C candidates, the
-    one whose partner has prefix w2 is the edge.  Returns None when the two
-    blocks are not adjacent (their prefixes are not adjacent in WK(C, L-2)).
+    None when the prefixes are not adjacent in WK(C, L-2); see ``block_bridge``.
     """
     if g.family != WKP or g.L < 3:
         raise ParameterDomainError("crossing edges are defined on WKP graphs with L >= 3")
@@ -373,16 +386,11 @@ def crossing_edge(g: PyramidGraph, w: str | Iterable[int], w2: str | Iterable[in
     b = _block_prefix(g, w2)
     if a == b:
         raise ParameterDomainError("block prefixes must differ")
-    found = None
-    for d in range(g.C):
-        u = a + (d, d)
-        v = rule2_partner(u)
-        if v is not None and v[:-2] == b:
-            if found is not None:
-                raise RuntimeError(f"blocks {a} and {b} share more than one edge")
-            i, j = g.ordinal(Address(g.L, u)), g.ordinal(Address(g.L, v))
-            found = EdgeRef(min(i, j), max(i, j))
-    return found
+    bridge = block_bridge(a, b, g.C)
+    if bridge is None:
+        return None
+    i, j = (g.ordinal(Address(g.L, d)) for d in bridge)
+    return EdgeRef(min(i, j), max(i, j))
 
 
 def export(g: PyramidGraph, format: str = "json") -> bytes:
@@ -407,14 +415,28 @@ def export(g: PyramidGraph, format: str = "json") -> bytes:
 
 
 def graph_from_json(data: bytes | str) -> PyramidGraph:
-    """Rebuild a graph from ``export(g, "json")`` output."""
-    doc = json.loads(data)
+    """Rebuild a graph from ``export(g, "json")`` output.
+
+    The document must be canonical: it is rebuilt as WK(C, L) or WKP(C, L),
+    never with more vertices than it lists, and its vertex and edge lists
+    must equal the rebuilt graph's; anything else is a ParameterDomainError.
+    """
     try:
+        doc = json.loads(data)
         family = doc["family"]
         C = int(doc["C"])
         L = int(doc["L"])
         vertices = [parse_address(s, C) for s in doc["vertices"]]
-        edges = [(int(i), int(j)) for i, j in doc["edges"]]
+        builder = {WK: build_wk, WKP: build_wkp}.get(family)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from None
-    return PyramidGraph(family, C, L, vertices, edges)
+    if builder is None:
+        raise ParameterDomainError(f"unknown graph family {family!r}")
+    # A canonical list ends at level L, which bounds L by the input's size
+    # before the vertex count, a power of C, is computed.
+    if not vertices or vertices[-1].level != L:
+        raise ParameterDomainError(f"graph JSON does not list level L={L} last")
+    g = builder(C, L, max_vertices=len(vertices))
+    if list(g.vertices) != vertices or list(map(list, g.edge_list())) != doc["edges"]:
+        raise ParameterDomainError(f"graph JSON does not list the vertices and edges of {g!r}")
+    return g

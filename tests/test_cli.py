@@ -97,7 +97,7 @@ class TestConstruct:
 
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "construct_kpds",
-                            lambda C, L, k, graph=None: ({Address(2, (0, 0))}, "level2"))
+                            lambda C, L, k: ({Address(2, (0, 0))}, "level2"))
         code = main(["construct", "--C", "3", "--L", "2", "--k", "1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -132,6 +132,13 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--C", "3", "--L", "2", "--k", "1",
                       "--set", "(3,(000))")
         assert code == 2
+
+    def test_set_is_listed_in_ordinal_order(self, capsys):
+        # As in construct, exact and trace; sorted as text, (10,...) came first.
+        code, out = run(capsys, "verify", "--C", "2", "--L", "10", "--k", "1",
+                        "--set", "(2,(00));(10,(0000000000))")
+        assert code == 0
+        assert json.loads(out)["set"] == ["(2,(00))", "(10,(0000000000))"]
 
 
 class TestExactAndRadius:

@@ -148,7 +148,7 @@ class TestHamiltonianCycles:
 class TestGeneralConstruction:
     def test_three_blocks_one_vertex_each(self):
         g = build_wkp(3, 3)
-        S = construct_general(3, 3, 1, graph=g)
+        S = construct_general(3, 3, 1)
         assert len(S) == 3
         assert all(a.level == 2 for a in S)
         assert is_kpds(g, 1, ordinals(g, S))
@@ -156,7 +156,7 @@ class TestGeneralConstruction:
     @pytest.mark.parametrize("C,L,k,size", [(4, 3, 1, 8), (4, 3, 2, 4)])
     def test_sizes_verified(self, C, L, k, size):
         g = build_wkp(C, L)
-        S = construct_general(C, L, k, graph=g)
+        S = construct_general(C, L, k)
         assert len(S) == size
         assert is_kpds(g, k, ordinals(g, S))
 
@@ -168,7 +168,7 @@ class TestGeneralConstruction:
                     continue
                 g = build_wkp(C, L)
                 for k in range(1, C - 1):
-                    S = construct_general(C, L, k, graph=g)
+                    S = construct_general(C, L, k)
                     assert len(S) == (C - k - 1) * C ** (L - 2)
                     assert is_kpds(g, k, ordinals(g, S))
 
@@ -231,7 +231,7 @@ class TestDispatcher:
     ])
     def test_provenance_tags(self, C, L, k, tag):
         g = build_wkp(C, L)
-        S, provenance = construct_kpds(C, L, k, graph=g)
+        S, provenance = construct_kpds(C, L, k)
         assert provenance == tag
         assert is_kpds(g, k, ordinals(g, S))
 
@@ -242,7 +242,7 @@ class TestDispatcher:
                     continue
                 g = build_wkp(C, L)
                 for k in range(1, C + 2):
-                    S, _ = construct_kpds(C, L, k, graph=g)
+                    S, _ = construct_kpds(C, L, k)
                     assert is_kpds(g, k, ordinals(g, S))
                     value, exact = gamma_formula(C, L, k)
                     assert len(S) == value

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -21,6 +22,8 @@ from wkpdom import (
     gw_subgraph,
     parse_address,
 )
+from wkpdom.cli import main
+from wkpdom.topology import rule2_partner
 
 
 def wkp_count(C, L):
@@ -47,6 +50,32 @@ def scan_crossing_edges(g, w, w2):
              if g.has_edge(u, v)]
     assert len(found) <= 1, f"blocks {w} and {w2} share {len(found)} edges"
     return found[0] if found else None
+
+
+def address_lookup_graph(family, C, L):
+    """Vertices and sorted edge list built by looking addresses up in a dict.
+
+    The construction the builders used before ordinals became arithmetic:
+    every rule is applied to an Address and mapped to its ordinal by an
+    Address -> ordinal dict.
+    """
+    levels = range(1, L + 1) if family == "wkp" else (L,)
+    vertices = [APEX] if family == "wkp" else []
+    for r in levels:
+        vertices.extend(Address(r, t) for t in itertools.product(range(C), repeat=r))
+    index = {a: i for i, a in enumerate(vertices)}
+    edges = set()
+    for i, (r, d) in enumerate(vertices):
+        if r == 0:
+            continue
+        others = [Address(r, d[:-1] + (j,)) for j in range(C) if j != d[-1]]
+        partner = rule2_partner(d)
+        if partner is not None:
+            others.append(Address(r, partner))
+        if family == "wkp":
+            others.append(Address(r - 1, d[:-1]))
+        edges.update((min(i, index[a]), max(i, index[a])) for a in others)
+    return vertices, sorted(edges)
 
 
 class TestBuilders:
@@ -86,7 +115,7 @@ class TestBuilders:
         assert (g.n, g.edge_count) == (7, 10)
         assert sorted(g.degree(i) for i in range(g.n)) == [2, 2, 2, 3, 3, 4, 4]
 
-    @pytest.mark.parametrize("C,L", [(0, 1), (1, 0), (-2, 3)])
+    @pytest.mark.parametrize("C,L", [(0, 1), (1, 0), (-2, 3), (0, -1)])
     def test_parameter_domain_rejected(self, C, L):
         with pytest.raises(ParameterDomainError):
             build_wk(C, L)
@@ -122,6 +151,52 @@ def test_structural_invariants(family, C, L):
         else:
             expected = C if i in extremes else C + 1
         assert g.degree(i) == expected, f"{a} in {family}({C},{L})"
+
+
+@pytest.mark.parametrize("family,C,L", SWEEP)
+def test_builders_match_address_lookup(family, C, L):
+    g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+    vertices, edges = address_lookup_graph(family, C, L)
+    assert list(g.vertices) == vertices
+    assert g.edge_list() == edges
+    assert all(list(row) == sorted(row) for row in g.adjacency)
+
+
+class TestOrdinals:
+    @pytest.mark.parametrize("family,C,L", SWEEP)
+    def test_ordinal_of_every_vertex(self, family, C, L):
+        g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+        for i, a in enumerate(g.vertices):
+            assert g.ordinal(a) == i
+        for r in range(-1, L + 2):
+            assert list(g.level_ordinals(r)) == [
+                i for i, a in enumerate(g.vertices) if a.level == r]
+
+    @pytest.mark.parametrize("family,C,L", [("wk", 3, 2), ("wk", 2, 3), ("wkp", 3, 2),
+                                            ("wkp", 4, 3), ("wkp", 1, 2)])
+    def test_non_vertices_are_refused(self, family, C, L):
+        g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+        bad = [
+            Address(L + 1, (0,) * (L + 1)),         # below the last level
+            Address(L, (C,) + (0,) * (L - 1)),      # digit >= C
+            Address(L, (0,) * (L - 1)),             # digit string too short
+            Address(L, (0,) * (L + 1)),             # digit string too long
+            Address(0, (0,)),                       # the apex has no digits
+            Address(-1, ()),
+        ]
+        if family == "wk":
+            bad += [APEX, Address(L - 1, (0,) * (L - 1))]
+        for a in bad:
+            with pytest.raises(ParameterDomainError, match="is not a vertex"):
+                g.ordinal(a)
+
+    def test_cli_non_vertex_is_one_error_line(self, capsys):
+        code = main(["verify", "--C", "3", "--L", "2", "--k", "1", "--set", "(3,(000))"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -312,6 +387,61 @@ class TestExport:
     def test_unknown_format(self, wkp32):
         with pytest.raises(ParameterDomainError):
             export(wkp32, "yaml")
+
+
+def _drop_edge(doc):
+    del doc["edges"][3]
+
+
+def _swap_vertices(doc):
+    doc["vertices"][1], doc["vertices"][2] = doc["vertices"][2], doc["vertices"][1]
+
+
+def _add_edge(doc):
+    doc["edges"].append([0, 12])  # apex to a level-2 vertex
+
+
+def _unknown_family(doc):
+    doc["family"] = "HYPERCUBE"
+
+
+def _self_loop(doc):
+    doc["edges"].append([1, 1])
+
+
+def _edge_out_of_range(doc):
+    doc["edges"].append([0, 13])
+
+
+def _more_levels_than_listed(doc):
+    doc["L"] = 12  # 797,161 vertices; refused before it is built
+
+
+def _huge_level(doc):
+    doc["L"] = 10 ** 9  # refused before 3^(10^9) is computed
+
+
+def _no_vertices(doc):
+    doc["vertices"], doc["edges"] = [], []
+
+
+class TestGraphFromJson:
+    @pytest.mark.parametrize("corrupt", [_drop_edge, _swap_vertices, _add_edge,
+                                         _unknown_family, _self_loop, _edge_out_of_range,
+                                         _more_levels_than_listed, _huge_level, _no_vertices])
+    def test_non_canonical_document_is_refused(self, corrupt):
+        doc = json.loads(export(build_wkp(3, 2), "json"))
+        assert graph_from_json(json.dumps(doc)) == build_wkp(3, 2)
+        corrupt(doc)
+        with pytest.raises(ParameterDomainError):
+            graph_from_json(json.dumps(doc))
+
+    def test_one_vertex_mesh_with_a_huge_level_is_refused(self):
+        # WK(1, L) has one vertex for every L; its one address has L digits.
+        doc = json.loads(export(build_wk(1, 2), "json"))
+        doc["L"] = 10 ** 9
+        with pytest.raises(ParameterDomainError):
+            graph_from_json(json.dumps(doc))
 
 
 class TestAddressGrammar:
