@@ -112,6 +112,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     check_printable(args.C)  # before the work whose answer could not be printed
+    # The graph and the certificate are freed before the payload, which lists
+    # every round, is encoded.
+    _emit(_construct_payload(args), args)
+    return EXIT_OK
+
+
+def _construct_payload(args: argparse.Namespace) -> dict:
     g = _pyramid(args)
     members, provenance = construct_kpds(args.C, args.L, args.k)
     cert = make_certificate(g, args.k, [g.ordinal(a) for a in members], provenance)
@@ -121,8 +128,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     payload = {"C": args.C, "L": args.L, "k": args.k,
                "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json()}
     payload.update(certificate_to_json(g, cert))
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -1,11 +1,19 @@
 """Exhaustive minimum k-power-domination oracle.
 
 Ascending-cardinality search: subsets of size 1, 2, ... are enumerated in
-lexicographic ordinal order and checked by the propagation engine.  There
-is no pruning and no symmetry reduction; the point of this module is to be
-trivially trustworthy at desk scale, not fast.  Budgets cap the number of
-propagation fixpoint runs so runaway instances fail loudly with the partial
-bound that was established.
+lexicographic ordinal order, and each is checked with one propagation
+fixpoint.  There is no pruning and no symmetry reduction; the point of
+this module is to be trivially trustworthy at desk scale, not fast.
+Budgets cap the number of propagation fixpoint runs so runaway instances
+fail loudly with the partial bound that was established.
+
+The checks run on a private bit-parallel kernel (``_bit_step``) rather
+than on ``propagation``: millions of fixpoints on graphs of a few hundred
+vertices favour whole-set integer operations over per-vertex counters.
+Each search packs N[v] of every vertex into an n-bit int once, from
+``g.adjacency``; the masks live only as long as the search.  The tests
+check the kernel's step against ``propagation.radius_of_set`` and
+``reference.naive_radius`` on the small WK and WKP graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .constructions import RegimeError
-from .propagation import _cover_step
 from .topology import WKP, ParameterDomainError, PyramidGraph, check_printable
 
 #: How often the progress callback fires, in propagation checks.
@@ -78,20 +85,65 @@ class ExactResult:
     checks_performed: int
 
 
+def _closed_masks(g: PyramidGraph) -> tuple[tuple[int, ...], int]:
+    """N[v] of every vertex v as an int with bit i set for ordinal i, and the all-ones mask."""
+    masks = []
+    for i, row in enumerate(g.adjacency):
+        m = 1 << i
+        for j in row:
+            m |= 1 << j
+        masks.append(m)
+    return tuple(masks), (1 << g.n) - 1
+
+
+def _bit_step(masks: tuple[int, ...], full: int, k: int, P: int) -> int | None:
+    """First round index at which monitoring from P = N[S] covers ``full``, else None.
+
+    Round 1 examines every vertex of P and round t+1 the monitored vertices
+    of N[new_t], the only ones whose unmonitored count changed, each
+    against the frozen P, so the rounds are those of ``propagation``.  Set
+    bits are taken from the top: clearing the top bit shrinks the int.
+    """
+    if P == full:
+        return 0
+    step = 0
+    frontier = P
+    nxt = 0
+    while True:
+        step += 1
+        not_p = full ^ P  # positive, so & costs no two's-complement copy
+        while frontier:
+            v = frontier.bit_length() - 1
+            m = masks[v]
+            if (m & not_p).bit_count() <= k:
+                nxt |= m
+            frontier ^= 1 << v
+        new = nxt & not_p
+        if not new:
+            return None
+        if nxt == full:
+            return step
+        P = nxt
+        while new:
+            v = new.bit_length() - 1
+            frontier |= masks[v]
+            new ^= 1 << v
+        frontier &= P
+
+
 def _covering_sets(g: PyramidGraph, k: int, sizes: range, budget: SearchBudget | None,
                    progress: ProgressFn | None) -> Iterator[tuple[tuple[int, ...], int]]:
     """The one enumeration loop: every k-PDS among the subsets of each size.
 
     Subsets of each size in ``sizes`` are checked in lexicographic order;
-    each k-PDS is yielded with its ``_cover_step`` step, and the scan ends
+    each k-PDS is yielded with its ``_bit_step`` step, and the scan ends
     with the first size that holds one.  Every check counts against the
     budget before it runs; running out raises ``BudgetExceededError``.
     """
     if k < 0:
         raise ParameterDomainError(f"k must be >= 0, got {k}")
     budget = budget or SearchBudget()
-    masks = g.closed_masks
-    full = g.full_mask
+    masks, full = _closed_masks(g)
     n = g.n
     checks = 0
     for size in sizes:
@@ -110,10 +162,10 @@ def _covering_sets(g: PyramidGraph, k: int, sizes: range, budget: SearchBudget |
             done += 1
             if progress is not None and checks % PROGRESS_INTERVAL == 0:
                 progress(size, done, total)
-            seed = 0
+            P = 0
             for v in combo:
-                seed |= 1 << v
-            step = _cover_step(masks, full, k, seed)
+                P |= masks[v]
+            step = _bit_step(masks, full, k, P)
             if step is not None:
                 found = True
                 yield combo, step

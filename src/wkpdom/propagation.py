@@ -15,19 +15,26 @@ unmonitored closed neighbor in round t+1.  Hence P_t is a subset of
 P_{t+1}.
 
 The engine (``_rounds``, the one round loop behind every public call)
-keeps monitored sets as integer bitmasks over vertex ordinals and works
-from a frontier.  Round 1 examines every vertex of P_0.  Round t+1
-examines only the monitored vertices of N[new_t], where new_t = P_t - P_{t-1}
-holds the vertices first monitored in round t.  Any other monitored
-vertex v has no closed neighbor in new_t, so it has exactly as many
-unmonitored closed neighbors as in round t: either it fired then, and
-N[v] is already inside P_t, or it still cannot fire.  Each vertex is new
-in one round only, so a whole fixpoint reads at most |S| + 2n + 2|E|
-closed-neighborhood masks, however many rounds it takes, and does a few
-n-bit integer operations per read.
+works on the adjacency rows and two per-vertex lists: the round at which
+each vertex was first monitored, and its count of unmonitored neighbors,
+which for a monitored vertex is its count of unmonitored closed neighbors
+(a list of ints, since degrees exceed 255 for large C).  Between rounds,
+every vertex first monitored in round t is counted out of its neighbors'
+counts, so counts stay frozen within a round and rounds stay
+simultaneous.  Round 1 examines every vertex of P_0.  Round t+1 examines
+the vertices new in round t and the older monitored vertices whose count
+fell to k while those were counted.  No other vertex can fire anything
+new: it either kept its count, so it fired already or still cannot, or
+its count was at most k already when it was last examined, so it fired
+then.  A vertex is new once, falls to k at most once, and fires with an
+unmonitored neighbor at most once, so a whole run reads |S| rows for
+N[S], n for the initial counts, at most n to count new vertices and at
+most min(n, 2|E|) to fire: at most |S| + 2n + 2|E| rows and O(n + |E|)
+work, however many rounds it takes.  No n-bit set is ever built.
 
 An intentionally naive mirror of these semantics lives in ``reference``
-and is compared against this engine by the test suite.
+and is compared against this engine by the test suite, as is the
+bit-parallel kernel of the exhaustive search in ``exact``.
 """
 
 from __future__ import annotations
@@ -43,23 +50,16 @@ from .topology import ParameterDomainError, PyramidGraph, check_printable
 #: Radius / first-step sentinel for "never monitored".
 NEVER = math.inf
 
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    """Set bits of mask, highest first: clearing the top bit shrinks the int."""
-    while mask:
-        v = mask.bit_length() - 1
-        yield v
-        mask ^= 1 << v
+Rows = Sequence[tuple[int, ...]]
 
 
-def _mask_of(g: PyramidGraph, S: Iterable[int]) -> int:
-    mask = 0
+def _vertex_set(g: PyramidGraph, S: Iterable[int]) -> set[int]:
+    S = set(S)
     n = g.n
     for v in S:
         if not 0 <= v < n:
             raise ParameterDomainError(f"vertex ordinal {v} out of range for |V|={n}")
-        mask |= 1 << v
-    return mask
+    return S
 
 
 def _check_k(k: int) -> None:
@@ -67,54 +67,86 @@ def _check_k(k: int) -> None:
         raise ParameterDomainError(f"k must be >= 0, got {k}")
 
 
-def _seed_neighborhood(masks: tuple[int, ...], seed_mask: int) -> int:
-    P = 0
-    for v in _iter_bits(seed_mask):
-        P |= masks[v]
+def _closed(adj: Rows, S: Iterable[int], first: list) -> list[int]:
+    """The vertices of N[S] not yet monitored in ``first``, now stamped round 0."""
+    P = []
+    for v in S:
+        if first[v] is NEVER:
+            first[v] = 0
+            P.append(v)
+        for w in adj[v]:
+            if first[w] is NEVER:
+                first[w] = 0
+                P.append(w)
     return P
 
 
-def _rounds(masks: tuple[int, ...], full: int, k: int, P: int) -> Iterator[int]:
-    """Monitored set after each simultaneous round from P; the one round loop.
+def _rounds(adj: Rows, k: int, first: list,
+            P: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """The one round loop: (fired, new) for each simultaneous round from P.
 
-    The first value is the union of N[v] over the vertices v of P with at
-    most k unmonitored closed neighbors, computed against P alone, for any
-    P.  Later rounds examine only the frontier (see the module docstring),
-    which is exact when P is a union of closed neighborhoods such as N[S].
-    The iterator ends after the first round that monitors nothing new; that
-    round is yielded too.
+    ``P`` lists the distinct monitored vertices, each stamped 0 in
+    ``first`` (NEVER everywhere else); every vertex first monitored in
+    round t is stamped t.  ``fired`` holds the examined vertices with at
+    most k unmonitored closed neighbors, ``new`` the vertices they monitor
+    first.  Round 1 examines every vertex of P, so its ``fired`` is exact
+    for any P; later rounds examine only the frontier (see the module
+    docstring), which is exact when P is a union of closed neighborhoods
+    such as N[S].  The iterator ends after the first round that covers
+    every vertex or monitors nothing new; that round is yielded too.
     """
-    frontier = P
-    nxt = 0
+    # Unmonitored neighbors of each vertex; for a monitored vertex, the only
+    # kind ever examined, that is its count of unmonitored closed neighbors.
+    unmon = list(map(len, adj))
+    covered = len(P)
+    n = len(adj)
+    new = P
+    t = 0
     while True:
-        not_p = full ^ P  # positive, so & costs no two's-complement copy
-        while frontier:
-            v = frontier.bit_length() - 1
-            m = masks[v]
-            if (m & not_p).bit_count() <= k:
-                nxt |= m
-            frontier ^= 1 << v
-        yield nxt
-        new = nxt & not_p
-        if not new:
+        # Count the vertices of new_t out of their neighbors' counts; an
+        # older monitored vertex whose count falls to k can now fire.
+        fell = []
+        for u in new:
+            for w in adj[u]:
+                c = unmon[w] - 1
+                unmon[w] = c
+                if c == k and first[w] < t:
+                    fell.append(w)
+        t += 1
+        fired = []
+        nxt = []
+        for v in new + fell:
+            c = unmon[v]
+            if c <= k:
+                fired.append(v)
+                if c:
+                    for w in adj[v]:
+                        if first[w] is NEVER:
+                            first[w] = t
+                            nxt.append(w)
+        yield fired, nxt
+        covered += len(nxt)
+        if not nxt or covered == n:
             return
-        P = nxt
-        while new:
-            v = new.bit_length() - 1
-            frontier |= masks[v]
-            new ^= 1 << v
-        frontier &= P
+        new = nxt
 
 
-def _cover_step(masks: tuple[int, ...], full: int, k: int, seed_mask: int) -> int | None:
+def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int, bool]:
+    """Rounds from N[S] to coverage or fixpoint: first steps, last round, covered."""
+    first = [NEVER] * len(adj)
+    P = _closed(adj, S, first)
+    covered = len(P)
+    step = 0
+    if covered < len(adj):
+        for step, (_, new) in enumerate(_rounds(adj, k, first, P), 1):
+            covered += len(new)
+    return first, step, covered == len(adj)
+
+
+def _cover_step(adj: Rows, k: int, S: Iterable[int]) -> int | None:
     """First round index at which monitoring covers every vertex, else None."""
-    P = _seed_neighborhood(masks, seed_mask)
-    if P == full:
-        return 0
-    for step, P in enumerate(_rounds(masks, full, k, P), 1):
-        if P == full:
-            return step
-    return None
+    _, step, covered = _run(adj, k, S)
+    return step if covered else None
 
 
 class _Rounds(Sequence):
@@ -193,10 +225,7 @@ class PdsCertificate:
 
 def closed_neighborhood(g: PyramidGraph, S: Iterable[int]) -> set[int]:
     """Union of closed neighborhoods N[v] over v in S."""
-    out = 0
-    for v in _iter_bits(_mask_of(g, S)):
-        out |= g.closed_masks[v]
-    return set(_iter_bits(out))
+    return set(_closed(g.adjacency, _vertex_set(g, S), [NEVER] * g.n))
 
 
 def propagate_round(g: PyramidGraph, k: int, P: Iterable[int]) -> set[int]:
@@ -207,33 +236,20 @@ def propagate_round(g: PyramidGraph, k: int, P: Iterable[int]) -> set[int]:
     a union of closed neighborhoods, which makes rounds monotone.
     """
     _check_k(k)
-    return set(_iter_bits(next(_rounds(g.closed_masks, g.full_mask, k, _mask_of(g, P)))))
+    P = _vertex_set(g, P)
+    first = [NEVER] * g.n
+    for v in P:
+        first[v] = 0
+    fired, _ = next(_rounds(g.adjacency, k, first, list(P)))
+    return closed_neighborhood(g, fired)
 
 
 def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrace:
     """Run rounds from the closed neighborhood of S until coverage or fixpoint."""
     _check_k(k)
-    seed_mask = _mask_of(g, S)
-    masks = g.closed_masks
-    full = g.full_mask
-    P = _seed_neighborhood(masks, seed_mask)
-    first: list[int | float] = [NEVER] * g.n
-    for v in _iter_bits(P):
-        first[v] = 0
-    step = 0
-    if P != full:
-        for step, nxt in enumerate(_rounds(masks, full, k, P), 1):
-            for v in _iter_bits(nxt ^ P):
-                first[v] = step
-            if nxt == full:
-                break
-            P = nxt
-    return MonitorTrace(
-        k=k,
-        seed=frozenset(_iter_bits(seed_mask)),
-        first_step=tuple(first),
-        round_count=step + 1,
-    )
+    S = _vertex_set(g, S)
+    first, step, _ = _run(g.adjacency, k, S)
+    return MonitorTrace(k=k, seed=frozenset(S), first_step=tuple(first), round_count=step + 1)
 
 
 def is_kpds(g: PyramidGraph, k: int, S: Iterable[int]) -> bool:
@@ -242,13 +258,13 @@ def is_kpds(g: PyramidGraph, k: int, S: Iterable[int]) -> bool:
     For k=0 this is exactly the dominating-set predicate.
     """
     _check_k(k)
-    return _cover_step(g.closed_masks, g.full_mask, k, _mask_of(g, S)) is not None
+    return _cover_step(g.adjacency, k, _vertex_set(g, S)) is not None
 
 
 def radius_of_set(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
     """1 + the first round index with full coverage; NEVER when S is no k-PDS."""
     _check_k(k)
-    step = _cover_step(g.closed_masks, g.full_mask, k, _mask_of(g, S))
+    step = _cover_step(g.adjacency, k, _vertex_set(g, S))
     return NEVER if step is None else 1 + step
 
 

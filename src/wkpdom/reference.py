@@ -1,9 +1,14 @@
 """Deliberately naive re-implementations used as independent oracles.
 
 Everything here mirrors the public propagation and search semantics with
-plain Python sets and exhaustive loops.  No code is shared with the
-optimized engine or the ascending-cardinality solver; tests and the
-reproduction report compare the two routes on small instances.
+plain Python sets and exhaustive loops.  No code is shared with the two
+fast implementations of the rounds: the counter loop of ``propagation``
+(one fixpoint on a graph of any size) and the bit-parallel kernel of
+``exact`` (millions of fixpoints on a few hundred vertices), which share
+none with each other either.  The tests compare the rounds and radii of
+all three on every WK(C, L) and WKP(C, L) with C <= 10, L <= 6 and at
+most 100 vertices, and ``min_kpds`` against ``naive_min_kpds``; the
+reproduction report compares the two solvers on small instances.
 """
 
 from __future__ import annotations

@@ -76,11 +76,6 @@ class Address(NamedTuple):
     def is_apex(self) -> bool:
         return self.level == 0
 
-    @property
-    def is_extreme(self) -> bool:
-        """True for repeated-digit addresses like (3,(222)); false for the apex."""
-        return self.level >= 1 and len(set(self.digits)) == 1
-
     def __str__(self) -> str:
         if self.level == 0:
             return "(0,(1))"
@@ -165,12 +160,10 @@ class PyramidGraph:
     Vertex (r, d) has ordinal ``offsets[r] + value(d)``, the digits read in
     base C (see the module docstring); ``vertices[i]`` is the address of
     ordinal i and ``adjacency[i]`` its sorted tuple of neighbor ordinals.
-    ``closed_masks[i]`` packs N[v_i] (v_i included) into an int bitmask for
-    the propagation engine.
+    Nothing else is stored, so a graph takes O(n + |E|) space.
     """
 
-    __slots__ = ("family", "C", "L", "vertices", "adjacency", "offsets",
-                 "closed_masks", "full_mask")
+    __slots__ = ("family", "C", "L", "vertices", "adjacency", "offsets")
 
     def __init__(self, family: str, C: int, L: int,
                  vertices: Iterable[Address], adjacency: Iterable[tuple[int, ...]]):
@@ -180,14 +173,6 @@ class PyramidGraph:
         self.vertices = tuple(vertices)
         self.adjacency = tuple(adjacency)
         self.offsets = _level_offsets(family, C, L)
-        masks = []
-        for i, nbrs in enumerate(self.adjacency):
-            m = 1 << i
-            for j in nbrs:
-                m |= 1 << j
-            masks.append(m)
-        self.closed_masks = tuple(masks)
-        self.full_mask = (1 << len(self.vertices)) - 1
 
     @property
     def n(self) -> int:
@@ -205,14 +190,11 @@ class PyramidGraph:
             raise ParameterDomainError(f"{address} is not a vertex of {self!r}")
         return self.offsets[r] + _value(digits, self.C)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adjacency[i]
-
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and (self.closed_masks[u] >> v) & 1 == 1
+        return v in self.adjacency[u]
 
     def level_ordinals(self, r: int) -> range:
         return range(self.offsets[r], self.offsets[r + 1]) if 0 <= r <= self.L else range(0)

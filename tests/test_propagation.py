@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,12 @@ from wkpdom import (
     Address,
     ParameterDomainError,
     MonitorTrace,
+    RegimeError,
+    build_wk,
     build_wkp,
     closed_neighborhood,
     construct_kc1,
+    construct_kpds,
     construct_level2,
     is_kpds,
     make_certificate,
@@ -21,7 +26,8 @@ from wkpdom import (
     radius_of_set,
     trace_to_json,
 )
-from wkpdom.reference import naive_fixpoint_rounds, naive_round
+from wkpdom.exact import _bit_step, _closed_masks
+from wkpdom.reference import naive_fixpoint_rounds, naive_is_kpds, naive_radius, naive_round
 
 GRAPHS = [build_wkp(3, 2), build_wkp(2, 3)]
 
@@ -33,8 +39,29 @@ def ordinals(g, addresses):
     return [g.ordinal(a) for a in addresses]
 
 
-class CountingMasks(tuple):
-    """``closed_masks`` that counts how many vertices the engine examines."""
+def small_graphs(limit=100):
+    """Every WK(C, L) and WKP(C, L) with C <= 10, L <= 6 and at most ``limit`` vertices."""
+    for C in range(1, 11):
+        for L in range(1, 7):
+            if sum(C ** r for r in range(L + 1)) <= limit:
+                yield "wkp", C, L
+            if C ** L <= limit:
+                yield "wk", C, L
+
+
+def cross_check_seeds(family, C, L, g, k):
+    """Every singleton, every pair {0, v}, and the closed-form set where it applies."""
+    seeds = [[v] for v in range(g.n)] + [[0, v] for v in range(1, g.n)]
+    if family == "wkp":
+        try:
+            seeds.append(ordinals(g, construct_kpds(C, L, k)[0]))
+        except RegimeError:
+            pass
+    return seeds
+
+
+class CountingRows(tuple):
+    """``adjacency`` that counts how many rows the engine reads."""
 
     reads = 0
 
@@ -137,13 +164,13 @@ class TestFixpoint:
     @pytest.mark.parametrize("prop", [propagate_fixpoint, radius_of_set])
     def test_work_is_linear_in_graph_size_not_rounds(self, prop):
         # The WKP(3,7) k=2 spine needs 127 rounds; every round re-examining
-        # all monitored vertices would read about 127 * n / 2 masks.
+        # all monitored vertices would read about 127 * n / 2 rows.
         g = build_wkp(3, 7)
         S = ordinals(g, construct_kc1(3, 7))
-        g.closed_masks = masks = CountingMasks(g.closed_masks)
+        g.adjacency = rows = CountingRows(g.adjacency)
         result = prop(g, 2, S)
         assert (result.round_count if prop is propagate_fixpoint else result) == 127
-        assert 0 < masks.reads <= 2 * (g.n + 2 * g.edge_count)
+        assert 0 < rows.reads <= 2 * (g.n + 2 * g.edge_count)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=["wkp32", "wkp23"])
     @given(seed=seed_sets, extra=st.integers(min_value=0, max_value=12), k=ks)
@@ -161,6 +188,36 @@ class TestFixpoint:
         seed = {v % g.n for v in seed}
         assert propagate_fixpoint(g, k, seed).rounds[-1] <= \
             propagate_fixpoint(g, k + 1, seed).rounds[-1]
+
+
+@pytest.mark.parametrize("family,C,L", list(small_graphs()))
+def test_engine_and_exact_kernel_agree_with_reference(family, C, L):
+    # The counter loop and the exhaustive search's bit-parallel kernel share
+    # no code; both must reproduce the naive set-based rounds.
+    g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+    masks, full = _closed_masks(g)
+    for k in range(4):
+        for S in cross_check_seeds(family, C, L, g, k):
+            rounds = naive_fixpoint_rounds(g, k, S)
+            radius = naive_radius(g, k, S)
+            step = _bit_step(masks, full, k, functools.reduce(operator.or_, (masks[v] for v in S)))
+            assert radius_of_set(g, k, S) == radius
+            assert (math.inf if step is None else 1 + step) == radius
+            assert [set(r) for r in propagate_fixpoint(g, k, S).rounds] == rounds
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_closed_degree_above_255(k):
+    # Level-1 vertices of WKP(300, 1) have 301 closed neighbors, more than
+    # a byte-sized unmonitored count could hold.
+    g = build_wkp(300, 1)
+    v = g.level_ordinals(1)[0]
+    assert g.degree(v) + 1 == 301
+    assert is_kpds(g, k, [v]) == naive_is_kpds(g, k, [v])
+    assert radius_of_set(g, k, [v]) == naive_radius(g, k, [v])
+    assert [set(r) for r in propagate_fixpoint(g, k, [v]).rounds] == \
+        naive_fixpoint_rounds(g, k, [v])
+    assert propagate_round(g, k, [v]) == naive_round(g, k, {v})
 
 
 class TestPredicates:

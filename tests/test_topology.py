@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -96,6 +97,18 @@ class TestBuilders:
         assert g.n == 9
         assert g.edge_count == 12
         assert Counter(g.degree(i) for i in range(g.n)) == {2: 3, 3: 6}
+
+    def test_graph_memory_is_linear(self):
+        # 21,845 vertices: one n-bit closed-neighborhood mask per vertex
+        # alone would hold about 57 MiB.
+        tracemalloc.start()
+        try:
+            g = build_wkp(4, 7)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == 21845
+        assert held < 16 * 2 ** 20
 
     @pytest.mark.parametrize("C", [1, 2, 4])
     def test_wkp_single_level_is_complete(self, C):
