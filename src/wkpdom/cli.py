@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -28,7 +29,6 @@ from .exact import (
     propagation_radius,
 )
 from .propagation import (
-    _address_list,
     certificate_to_json,
     make_certificate,
     propagate_fixpoint,
@@ -40,7 +40,7 @@ from .topology import (
     Address,
     ParameterDomainError,
     PyramidGraph,
-    _env_int,
+    address_list,
     build_wk,
     build_wkp,
     check_printable,
@@ -53,6 +53,26 @@ EXIT_REPORT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_REGIME = 4
+
+#: Exit code of each error class the verbs raise (with its subclasses); no
+#: exception is an instance of two of them, so the order does not matter.
+EXIT_CODES = {
+    RegimeError: EXIT_REGIME,
+    BudgetExceededError: EXIT_BUDGET,
+    ParameterDomainError: EXIT_PARSE,
+    ConstructionError: EXIT_REPORT_FAIL,
+}
+
+
+def _env_int(name: str, fallback: int) -> int:
+    """Integer value of environment variable ``name``, or ``fallback`` when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterDomainError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def parse_seed_set(text: str, C: int) -> list[Address]:
@@ -136,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
     cert = make_certificate(g, args.k, seed)
     payload = {"C": args.C, "L": args.L, "k": args.k,
-               "set": _address_list(g, cert.members),
+               "set": address_list(g, cert.members),
                "is_kpds": cert.is_kpds,
                "radius": None if math.isinf(cert.radius) else cert.radius}
     _emit(payload, args)
@@ -254,18 +274,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RegimeError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ParameterDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REPORT_FAIL
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -12,14 +12,15 @@ Four parameter regimes cover all C, L >= 1 and k >= 1:
   vertices spaced three levels apart; size ceil((L+1)/3) is only an upper
   bound on the optimum.
 
-The builders only assemble vertex sets and check their own bookkeeping
-(sizes, bridge cliques); whether a set is a k-PDS is decided once, by the
-caller that reports it, with the propagation engine.
+``regime_of`` returns the ``RegimeTag`` and ``ham_cycle_wk`` the cycle's
+digit strings in cyclic order.  The builders only assemble vertex sets and
+check their own bookkeeping (sizes, bridge cliques); whether a set is a
+k-PDS is decided once, by the caller that reports it, with the propagation
+engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -41,14 +42,6 @@ class RegimeTag(Enum):
     K_EQ_C_MINUS_1_UPPER = "K_EQ_C_MINUS_1_UPPER"
 
 
-@dataclass(frozen=True)
-class Regime:
-    tag: RegimeTag
-    C: int
-    L: int
-    k: int
-
-
 class GammaValue(NamedTuple):
     """A minimum-set size, either exact or only an upper bound."""
 
@@ -59,7 +52,7 @@ class GammaValue(NamedTuple):
         return {"exact": self.value} if self.exact else {"upper_bound": self.value}
 
 
-def regime_of(C: int, L: int, k: int) -> Regime:
+def regime_of(C: int, L: int, k: int) -> RegimeTag:
     """Classify (C, L, k) into the regime that decides formula and construction.
 
     The four regimes are mutually exclusive and cover every C, L >= 1, k >= 1.
@@ -72,14 +65,12 @@ def regime_of(C: int, L: int, k: int) -> Regime:
     if k < 1:
         raise RegimeError("k=0 is plain domination; regimes require k >= 1")
     if C == 1 or L == 1 or k >= C:
-        tag = RegimeTag.TRIVIAL_ONE
-    elif L == 2:
-        tag = RegimeTag.LEVEL2
-    elif k == C - 1:
-        tag = RegimeTag.K_EQ_C_MINUS_1_UPPER
-    else:
-        tag = RegimeTag.GENERAL
-    return Regime(tag, C, L, k)
+        return RegimeTag.TRIVIAL_ONE
+    if L == 2:
+        return RegimeTag.LEVEL2
+    if k == C - 1:
+        return RegimeTag.K_EQ_C_MINUS_1_UPPER
+    return RegimeTag.GENERAL
 
 
 def gamma_formula(C: int, L: int, k: int) -> GammaValue:
@@ -88,21 +79,22 @@ def gamma_formula(C: int, L: int, k: int) -> GammaValue:
     Exact in every regime except k=C-1 with L>=3, where ceil((L+1)/3) is an
     upper bound.
     """
-    reg = regime_of(C, L, k)
-    if reg.tag is RegimeTag.TRIVIAL_ONE:
+    tag = regime_of(C, L, k)
+    if tag is RegimeTag.TRIVIAL_ONE:
         return GammaValue(1, True)
-    if reg.tag is RegimeTag.LEVEL2:
+    if tag is RegimeTag.LEVEL2:
         return GammaValue(C - k, True)
-    if reg.tag is RegimeTag.GENERAL:
+    if tag is RegimeTag.GENERAL:
         return GammaValue((C - k - 1) * C ** (L - 2), True)
     return GammaValue((L + 3) // 3, False)  # ceil((L+1)/3)
 
 
-def _require(reg: Regime, tag: RegimeTag, what: str) -> None:
-    if reg.tag is not tag:
+def _require(C: int, L: int, k: int, tag: RegimeTag, what: str) -> None:
+    actual = regime_of(C, L, k)
+    if actual is not tag:
         raise RegimeError(
-            f"{what} needs regime {tag.value}, but (C={reg.C}, L={reg.L}, k={reg.k}) "
-            f"is {reg.tag.value}"
+            f"{what} needs regime {tag.value}, but (C={C}, L={L}, k={k}) "
+            f"is {actual.value}"
         )
 
 
@@ -113,23 +105,14 @@ def construct_trivial(C: int, L: int, k: int) -> set[Address]:
     cascades level by level from the apex; for C=1 and L=1 the graph is a
     path or a complete graph.
     """
-    _require(regime_of(C, L, k), RegimeTag.TRIVIAL_ONE, "construct_trivial")
+    _require(C, L, k, RegimeTag.TRIVIAL_ONE, "construct_trivial")
     return {APEX}
 
 
 def construct_level2(C: int, k: int) -> set[Address]:
     """The C-k level-1 vertices {(1,(i)): k <= i <= C-1}, a k-PDS of WKP(C, 2)."""
-    _require(regime_of(C, 2, k), RegimeTag.LEVEL2, "construct_level2")
+    _require(C, 2, k, RegimeTag.LEVEL2, "construct_level2")
     return {Address(1, (i,)) for i in range(k, C)}
-
-
-@dataclass(frozen=True)
-class HamCycle:
-    """A Hamiltonian cycle of WK(C, m) as a cyclic order of digit strings."""
-
-    C: int
-    m: int
-    order: tuple[tuple[int, ...], ...]
 
 
 def _ham_path(C: int, m: int, a: int, b: int) -> list[tuple[int, ...]]:
@@ -151,8 +134,8 @@ def _ham_path(C: int, m: int, a: int, b: int) -> list[tuple[int, ...]]:
     return path
 
 
-def ham_cycle_wk(C: int, m: int) -> HamCycle:
-    """Fixed recursive Hamiltonian cycle of WK(C, m), C >= 3.
+def ham_cycle_wk(C: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Fixed recursive Hamiltonian cycle of WK(C, m), C >= 3: its digit strings in cyclic order.
 
     Sub-meshes are visited in the order 0..C-1; sub-mesh i is crossed by a
     Hamiltonian path from its bridge endpoint toward i-1 to the one toward
@@ -164,13 +147,13 @@ def ham_cycle_wk(C: int, m: int) -> HamCycle:
     if m < 1:
         raise ParameterDomainError(f"m must be >= 1, got {m}")
     if m == 1:
-        return HamCycle(C, m, tuple((d,) for d in range(C)))
+        return tuple((d,) for d in range(C))
     seq: list[tuple[int, ...]] = []
     for i in range(C):
         enter = (i - 1) % C
         leave = (i + 1) % C
         seq.extend((i,) + suffix for suffix in _ham_path(C, m - 1, enter, leave))
-    return HamCycle(C, m, tuple(seq))
+    return tuple(seq)
 
 
 def construct_general(C: int, L: int, k: int) -> set[Address]:
@@ -184,8 +167,8 @@ def construct_general(C: int, L: int, k: int) -> set[Address]:
     the incoming-endpoint clique and the outgoing-endpoint clique (inside a
     chosen clique: the smallest member that is not extreme in its block).
     """
-    _require(regime_of(C, L, k), RegimeTag.GENERAL, "construct_general")
-    cycle = ham_cycle_wk(C, L - 2).order
+    _require(C, L, k, RegimeTag.GENERAL, "construct_general")
+    cycle = ham_cycle_wk(C, L - 2)
     chosen: set[Address] = set()
     for t, block in enumerate(cycle):
         prev_block, next_block = cycle[t - 1], cycle[(t + 1) % len(cycle)]
@@ -218,8 +201,7 @@ def construct_kc1(C: int, L: int) -> set[Address]:
     All-zero spine vertices spaced three levels apart; the level pattern
     depends on L mod 3 and for L=3m includes the apex.
     """
-    reg = regime_of(C, L, C - 1)
-    _require(reg, RegimeTag.K_EQ_C_MINUS_1_UPPER, "construct_kc1")
+    _require(C, L, C - 1, RegimeTag.K_EQ_C_MINUS_1_UPPER, "construct_kc1")
     m, rem = divmod(L, 3)
     if rem == 0:
         chosen = {Address(3 * i - 1, (0,) * (3 * i - 1)) for i in range(1, m + 1)}
@@ -235,18 +217,16 @@ def construct_kc1(C: int, L: int) -> set[Address]:
     return chosen
 
 
-def kc1_case(L: int) -> str:
-    """Provenance tag for the k=C-1 spine construction: case 1/2/3 by L mod 3."""
-    return {0: "kc1-case1", 1: "kc1-case2", 2: "kc1-case3"}[L % 3]
-
-
 def construct_kpds(C: int, L: int, k: int) -> tuple[set[Address], str]:
-    """Dispatch to the regime's construction; returns (vertex set, provenance tag)."""
-    reg = regime_of(C, L, k)
-    if reg.tag is RegimeTag.TRIVIAL_ONE:
+    """Dispatch to the regime's construction; returns (vertex set, provenance tag).
+
+    The k=C-1 spine tag ``kc1-case1/2/3`` names its level pattern, by L mod 3.
+    """
+    tag = regime_of(C, L, k)
+    if tag is RegimeTag.TRIVIAL_ONE:
         return construct_trivial(C, L, k), "trivial-apex"
-    if reg.tag is RegimeTag.LEVEL2:
+    if tag is RegimeTag.LEVEL2:
         return construct_level2(C, k), "level2"
-    if reg.tag is RegimeTag.GENERAL:
+    if tag is RegimeTag.GENERAL:
         return construct_general(C, L, k), "general-hamiltonian"
-    return construct_kc1(C, L), kc1_case(L)
+    return construct_kc1(C, L), f"kc1-case{L % 3 + 1}"

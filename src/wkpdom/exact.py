@@ -4,8 +4,9 @@ Ascending-cardinality search: subsets of size 1, 2, ... are enumerated in
 lexicographic ordinal order, and each is checked with one propagation
 fixpoint.  There is no pruning and no symmetry reduction; the point of
 this module is to be trivially trustworthy at desk scale, not fast.
-Budgets cap the number of propagation fixpoint runs so runaway instances
-fail loudly with the partial bound that was established.
+Budgets cap only the number of propagation fixpoint runs, so runaway
+instances fail loudly with the partial bound that was established; subset
+sizes need no cap, because V itself is a k-PDS.
 
 The checks run on a private bit-parallel kernel (``_bit_step``) rather
 than on ``propagation``: millions of fixpoints on graphs of a few hundred
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .constructions import RegimeError
-from .topology import WKP, ParameterDomainError, PyramidGraph, check_printable
+from .topology import WKP, ParameterDomainError, PyramidGraph, address_list
 
 #: How often the progress callback fires, in propagation checks.
 PROGRESS_INTERVAL = 5_000
@@ -38,20 +39,13 @@ ProgressFn = Callable[[int, int, int], None]
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for one exhaustive-search call.
-
-    ``max_subset_count`` caps propagation fixpoint runs; ``max_cardinality``
-    optionally caps the subset size explored.
-    """
+    """Limit for one exhaustive-search call: at most ``max_subset_count`` fixpoint runs."""
 
     max_subset_count: int = DEFAULT_MAX_CHECKS
-    max_cardinality: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_subset_count < 1:
             raise ParameterDomainError("max_subset_count must be positive")
-        if self.max_cardinality is not None and self.max_cardinality < 1:
-            raise ParameterDomainError("max_cardinality must be positive")
 
 
 class BudgetExceededError(RuntimeError):
@@ -181,16 +175,14 @@ def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
     radius across every optimal set.  Raises ``BudgetExceededError`` when the
     budget runs out before gamma is certified; if it runs out while sweeping
     the rest of gamma's own cardinality level, the result is returned with
-    ``exhausted=False`` instead.
+    ``exhausted=False`` instead.  Without a budget stop the search always
+    ends with a gamma <= n: V itself is a k-PDS, since N[V] = V.
     """
-    max_size = g.n
-    if budget is not None and budget.max_cardinality is not None:
-        max_size = min(max_size, budget.max_cardinality)
     gamma = 0
     witnesses: list[frozenset[int]] = []
     radius: int | float = math.inf
     try:
-        for combo, step in _covering_sets(g, k, range(1, max_size + 1), budget, progress):
+        for combo, step in _covering_sets(g, k, range(1, g.n + 1), budget, progress):
             gamma = len(combo)
             radius = min(radius, 1 + step)
             if len(witnesses) < witness_cap:
@@ -200,15 +192,8 @@ def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
             raise
         return ExactResult(gamma, tuple(witnesses), witness_cap, radius,
                            exhausted=False, checks_performed=exc.checks_performed)
-    # No budget stop, so every subset of sizes 1..gamma (1..max_size if none
-    # covers) was checked.
-    checks = sum(math.comb(g.n, size) for size in range(1, (gamma or max_size) + 1))
-    if not gamma:
-        raise BudgetExceededError(
-            f"no k-PDS of size <= {max_size} exists (k={k}); established gamma > {max_size}",
-            gamma_exceeds=max_size,
-            checks_performed=checks,
-        )
+    # No budget stop, so every subset of sizes 1..gamma was checked.
+    checks = sum(math.comb(g.n, size) for size in range(1, gamma + 1))
     return ExactResult(gamma, tuple(witnesses), witness_cap, radius,
                        exhausted=True, checks_performed=checks)
 
@@ -268,14 +253,13 @@ def level1_intersection_check(g: PyramidGraph, k: int,
 
 
 def exact_result_to_json(g: PyramidGraph, k: int, result: ExactResult) -> dict:
-    check_printable(g.C)
     witness: Iterable[int] = result.witnesses[0] if result.witnesses else ()
     return {
         "C": g.C,
         "L": g.L,
         "k": k,
         "gamma": result.gamma,
-        "witness": [str(g.vertices[v]) for v in sorted(witness)],
+        "witness": address_list(g, witness),
         "radius": None if math.isinf(result.radius) else result.radius,
         "exhausted": result.exhausted,
         "checks_performed": result.checks_performed,

@@ -45,7 +45,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .topology import ParameterDomainError, PyramidGraph, check_printable
+from .topology import ParameterDomainError, PyramidGraph, address_list, check_printable
 
 #: Radius / first-step sentinel for "never monitored".
 NEVER = math.inf
@@ -281,11 +281,6 @@ def make_certificate(g: PyramidGraph, k: int, S: Iterable[int],
     )
 
 
-def _address_list(g: PyramidGraph, ordinals: Iterable[int]) -> list[str]:
-    check_printable(g.C)
-    return [str(g.vertices[v]) for v in sorted(ordinals)]
-
-
 def _round_lists(g: PyramidGraph, trace: MonitorTrace) -> list[list[str]]:
     """Addresses monitored by each round, in ordinal order, one str() per vertex."""
     check_printable(g.C)
@@ -297,7 +292,7 @@ def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
     """Trace as {k, seed, rounds, radius}; radius is null for a stuck run."""
     return {
         "k": trace.k,
-        "seed": _address_list(g, trace.seed),
+        "seed": address_list(g, trace.seed),
         "rounds": _round_lists(g, trace),
         "radius": trace.round_count if trace.covered else None,
     }
@@ -305,7 +300,7 @@ def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
 
 def certificate_to_json(g: PyramidGraph, cert: PdsCertificate) -> dict:
     return {
-        "set": _address_list(g, cert.members),
+        "set": address_list(g, cert.members),
         "size": len(cert.members),
         "is_kpds": cert.is_kpds,
         "radius": None if math.isinf(cert.radius) else cert.radius,

@@ -359,7 +359,7 @@ def _prop_ham_cycles() -> tuple[bool, str]:
     for C in (3, 4, 5):
         for m in (1, 2, 3):
             g = build_wk(C, m)
-            cycle = ham_cycle_wk(C, m).order
+            cycle = ham_cycle_wk(C, m)
             if sorted(cycle) != sorted(a.digits for a in g.vertices):
                 return False, f"WK({C},{m}): cycle is not a permutation of the vertices"
             for t, w in enumerate(cycle):

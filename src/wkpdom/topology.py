@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 import re
 from typing import Iterable, Iterator, NamedTuple
 
@@ -47,17 +46,6 @@ class ParameterDomainError(ValueError):
 
 class AddressParseError(ParameterDomainError):
     """An address literal does not match the display grammar."""
-
-
-def _env_int(name: str, fallback: int) -> int:
-    """Integer value of environment variable ``name``, or ``fallback`` when unset."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterDomainError(f"{name} must be an integer, got {raw!r}") from None
 
 
 class Address(NamedTuple):
@@ -96,6 +84,12 @@ def check_printable(C: int) -> None:
             f"addresses are written one character per digit, so they can be printed "
             f"or parsed for C <= 10 only, got C={C}"
         )
+
+
+def address_list(g: PyramidGraph, ordinals: Iterable[int]) -> list[str]:
+    """The addresses of ``ordinals`` as literals, in ordinal order (C <= 10)."""
+    check_printable(g.C)
+    return [str(g.vertices[v]) for v in sorted(ordinals)]
 
 
 _ADDRESS_RE = re.compile(r"\((\d+),\((\d*)\)\)")

@@ -133,6 +133,13 @@ class TestVerify:
                       "--set", "(3,(000))")
         assert code == 2
 
+    def test_empty_set_literal_exit_2(self, capsys):
+        code = main(["verify", "--C", "3", "--L", "2", "--k", "1", "--set", ";"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: empty seed set literal\n"
+
     def test_set_is_listed_in_ordinal_order(self, capsys):
         # As in construct, exact and trace; sorted as text, (10,...) came first.
         code, out = run(capsys, "verify", "--C", "2", "--L", "10", "--k", "1",
@@ -155,6 +162,16 @@ class TestExactAndRadius:
         assert code == 0
         assert json.loads(out)["radius"] == 2
 
+    def test_progress_goes_to_stderr(self, capsys):
+        argv = ["exact", "--C", "3", "--L", "3", "--k", "1"]
+        _, plain = run(capsys, *argv)
+        code = main(argv + ["--progress"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == plain
+        assert captured.err == ("size 3: 4180/9880 subsets checked\n"
+                                "size 3: 9180/9880 subsets checked\n")
+
     def test_budget_exhausted_exit_3(self, capsys):
         code, _ = run(capsys, "exact", "--C", "3", "--L", "3", "--k", "1",
                       "--budget", "50")
@@ -169,6 +186,27 @@ class TestExactAndRadius:
             main(argv)
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+class TestTextFormat:
+    def test_radius_example(self, capsys):
+        code, out = run(capsys, "radius", "--C", "3", "--L", "2", "--k", "3", "--format", "text")
+        assert code == 0
+        assert out == "C: 3\nL: 2\nk: 3\nradius: 2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--C", "3", "--L", "2", "--k", "1"],
+        ["verify", "--C", "3", "--L", "2", "--k", "1", "--set", "(1,(1));(1,(2))"],
+        ["exact", "--C", "3", "--L", "2", "--k", "1"],
+        ["radius", "--C", "3", "--L", "2", "--k", "1"],
+        ["trace", "--C", "2", "--L", "2", "--k", "1", "--set", "(1,(1))"],
+    ], ids=lambda argv: argv[0])
+    def test_one_line_per_json_key(self, capsys, argv):
+        _, json_out = run(capsys, *argv)
+        code, text_out = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        expected = [f"{key}: {json.dumps(value)}" for key, value in json.loads(json_out).items()]
+        assert text_out.splitlines() == expected
 
 
 class TestTrace:
@@ -239,6 +277,12 @@ class TestEnvOverrides:
         monkeypatch.setenv("WKPDOM_MAX_VERTICES", "10")
         code, _ = run(capsys, "gen", "--C", "3", "--L", "2")
         assert code == 2
+
+    def test_flag_beats_vertex_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("WKPDOM_MAX_VERTICES", "10")
+        code, _ = run(capsys, "verify", "--C", "3", "--L", "2", "--k", "1",
+                      "--set", "(0,(1))", "--max-vertices", "13")
+        assert code == 0
 
     @pytest.mark.parametrize("argv", [["check-paper"],
                                       ["exact", "--C", "2", "--L", "2", "--k", "1"]])

@@ -36,7 +36,7 @@ class TestRegimes:
         (2, 6, 1, RegimeTag.K_EQ_C_MINUS_1_UPPER),
     ])
     def test_classification(self, C, L, k, tag):
-        assert regime_of(C, L, k).tag is tag
+        assert regime_of(C, L, k) is tag
 
     def test_zero_k_rejected(self):
         with pytest.raises(RegimeError):
@@ -51,7 +51,7 @@ class TestRegimes:
         for C in range(1, 7):
             for L in range(1, 7):
                 for k in range(1, 9):
-                    tag = regime_of(C, L, k).tag
+                    tag = regime_of(C, L, k)
                     trivial = C == 1 or L == 1 or k >= C
                     level2 = not trivial and L == 2
                     kc1 = not trivial and L >= 3 and k == C - 1
@@ -126,13 +126,13 @@ class TestLevel2Construction:
 
 class TestHamiltonianCycles:
     def test_triangle(self):
-        assert ham_cycle_wk(3, 1).order == ((0,), (1,), (2,))
+        assert ham_cycle_wk(3, 1) == ((0,), (1,), (2,))
 
     @pytest.mark.parametrize("C", [3, 4, 5])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_cycle_is_valid(self, C, m):
         g = build_wk(C, m)
-        order = ham_cycle_wk(C, m).order
+        order = ham_cycle_wk(C, m)
         assert len(order) == C ** m
         assert sorted(order) == sorted(a.digits for a in g.vertices)
         for t, w in enumerate(order):
@@ -178,7 +178,7 @@ class TestGeneralConstruction:
 
         for C, L in ((3, 3), (4, 3), (3, 4)):
             g = build_wkp(C, L)
-            cycle = ham_cycle_wk(C, L - 2).order
+            cycle = ham_cycle_wk(C, L - 2)
             for t, block in enumerate(cycle):
                 edge_in = crossing_edge(g, cycle[t - 1], block)
                 edge_out = crossing_edge(g, block, cycle[(t + 1) % len(cycle)])

@@ -63,11 +63,6 @@ class TestMinKpds:
         assert exc.value.gamma_exceeds == 1
         assert exc.value.checks_performed == 100
 
-    def test_cardinality_cap(self, wkp32):
-        with pytest.raises(BudgetExceededError) as exc:
-            min_kpds(wkp32, 1, SearchBudget(max_cardinality=1))
-        assert exc.value.gamma_exceeds == 1
-
     def test_json_shape(self, wkp32):
         doc = exact_result_to_json(wkp32, 1, min_kpds(wkp32, 1))
         assert doc["gamma"] == 2
@@ -127,6 +122,11 @@ class TestLevel1Intersection:
         g = build_wkp(C, 2)
         budget = SearchBudget(max_subset_count=min_kpds(g, k).checks_performed)
         assert level1_intersection_check(g, k, budget)
+
+    def test_budget_runs_out_inside_the_gamma_level(self, wkp32):
+        # gamma=2 is found at check 26, but the 78 pairs are not all checked
+        with pytest.raises(BudgetExceededError):
+            level1_intersection_check(wkp32, 1, SearchBudget(max_subset_count=30))
 
     def test_regime_guard(self, wkp32):
         with pytest.raises(RegimeError):

@@ -449,6 +449,10 @@ class TestGraphFromJson:
         with pytest.raises(ParameterDomainError):
             graph_from_json(json.dumps(doc))
 
+    def test_unparsable_document_is_refused(self):
+        with pytest.raises(ParameterDomainError, match="^malformed graph JSON"):
+            graph_from_json("{")
+
     def test_one_vertex_mesh_with_a_huge_level_is_refused(self):
         # WK(1, L) has one vertex for every L; its one address has L digits.
         doc = json.loads(export(build_wk(1, 2), "json"))
