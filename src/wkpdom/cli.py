@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Sequence
@@ -30,7 +29,6 @@ from .exact import (
 )
 from .propagation import (
     certificate_to_json,
-    make_certificate,
     propagate_fixpoint,
     trace_to_json,
 )
@@ -91,7 +89,7 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
 
 
 def _max_vertices(args: argparse.Namespace) -> int:
-    if getattr(args, "max_vertices", None) is not None:
+    if args.max_vertices is not None:
         return args.max_vertices
     return _env_int("WKPDOM_MAX_VERTICES", DEFAULT_MAX_VERTICES)
 
@@ -101,7 +99,7 @@ def _pyramid(args: argparse.Namespace) -> PyramidGraph:
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         for key, value in payload.items():
             print(f"{key}: {json.dumps(value)}")
     else:
@@ -132,7 +130,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     check_printable(args.C)  # before the work whose answer could not be printed
-    # The graph and the certificate are freed before the payload, which lists
+    # The graph and the trace are freed before the payload, which lists
     # every round, is encoded.
     _emit(_construct_payload(args), args)
     return EXIT_OK
@@ -141,24 +139,24 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _construct_payload(args: argparse.Namespace) -> dict:
     g = _pyramid(args)
     members, provenance = construct_kpds(args.C, args.L, args.k)
-    cert = make_certificate(g, args.k, [g.ordinal(a) for a in members], provenance)
-    if not cert.is_kpds:
+    trace = propagate_fixpoint(g, args.k, [g.ordinal(a) for a in members])
+    if not trace.covered:
         raise ConstructionError(
             f"construction for (C={args.C}, L={args.L}, k={args.k}) failed verification")
     payload = {"C": args.C, "L": args.L, "k": args.k,
                "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json()}
-    payload.update(certificate_to_json(g, cert))
+    payload.update(certificate_to_json(g, trace, provenance))
     return payload
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _pyramid(args)
     seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
-    cert = make_certificate(g, args.k, seed)
+    trace = propagate_fixpoint(g, args.k, seed)
     payload = {"C": args.C, "L": args.L, "k": args.k,
-               "set": address_list(g, cert.members),
-               "is_kpds": cert.is_kpds,
-               "radius": None if math.isinf(cert.radius) else cert.radius}
+               "set": address_list(g, trace.seed),
+               "is_kpds": trace.covered,
+               "radius": trace.round_count if trace.covered else None}
     _emit(payload, args)
     return EXIT_OK
 

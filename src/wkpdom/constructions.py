@@ -56,13 +56,16 @@ def regime_of(C: int, L: int, k: int) -> RegimeTag:
     """Classify (C, L, k) into the regime that decides formula and construction.
 
     The four regimes are mutually exclusive and cover every C, L >= 1, k >= 1.
-    k=0 is plain domination and has no closed-form regime here.
+    k=0 is plain domination and has no closed-form regime here; a negative
+    k is a parameter error.
     """
     if C < 1:
         raise ParameterDomainError(f"C must be >= 1, got {C}")
     if L < 1:
         raise ParameterDomainError(f"L must be >= 1, got {L}")
-    if k < 1:
+    if k < 0:
+        raise ParameterDomainError(f"k must be >= 0, got {k}")
+    if k == 0:
         raise RegimeError("k=0 is plain domination; regimes require k >= 1")
     if C == 1 or L == 1 or k >= C:
         return RegimeTag.TRIVIAL_ONE

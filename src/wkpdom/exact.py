@@ -198,6 +198,17 @@ def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
                        exhausted=True, checks_performed=checks)
 
 
+def _whole_level(result: ExactResult, prefix: str) -> ExactResult:
+    """``result`` if its search checked every set of size gamma, else the budget error."""
+    if not result.exhausted:
+        raise BudgetExceededError(
+            f"{prefix}needs every size-{result.gamma} set enumerated; budget ran out",
+            gamma_exceeds=result.gamma - 1,
+            checks_performed=result.checks_performed,
+        )
+    return result
+
+
 def propagation_radius(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
                        progress: ProgressFn | None = None) -> int:
     """Minimum radius over all minimum k-power-dominating sets.
@@ -205,13 +216,7 @@ def propagation_radius(g: PyramidGraph, k: int, budget: SearchBudget | None = No
     Requires the exhaustive sweep of the optimal cardinality level to
     complete within budget.
     """
-    result = min_kpds(g, k, budget, progress=progress)
-    if not result.exhausted:
-        raise BudgetExceededError(
-            f"radius needs every size-{result.gamma} set enumerated; budget ran out",
-            gamma_exceeds=result.gamma - 1,
-            checks_performed=result.checks_performed,
-        )
+    result = _whole_level(min_kpds(g, k, budget, progress=progress), "radius ")
     assert isinstance(result.radius, int)
     return result.radius
 
@@ -241,13 +246,7 @@ def level1_intersection_check(g: PyramidGraph, k: int,
         raise RegimeError(f"the level-1 intersection property needs C >= 3, got C={g.C}")
     if not 1 <= k <= g.C - 1:
         raise RegimeError(f"the level-1 intersection property needs k in [C-1], got k={k}")
-    result = min_kpds(g, k, budget, witness_cap=sys.maxsize)
-    if not result.exhausted:
-        raise BudgetExceededError(
-            f"needs every size-{result.gamma} set enumerated; budget ran out",
-            gamma_exceeds=result.gamma - 1,
-            checks_performed=result.checks_performed,
-        )
+    result = _whole_level(min_kpds(g, k, budget, witness_cap=sys.maxsize), "")
     level1 = set(g.level_ordinals(1))
     return all(level1.intersection(witness) for witness in result.witnesses)
 

@@ -14,23 +14,26 @@ vertices v that fired in round t, and each of those still has no
 unmonitored closed neighbor in round t+1.  Hence P_t is a subset of
 P_{t+1}.
 
-The engine (``_rounds``, the one round loop behind every public call)
-works on the adjacency rows and two per-vertex lists: the round at which
-each vertex was first monitored, and its count of unmonitored neighbors,
-which for a monitored vertex is its count of unmonitored closed neighbors
-(a list of ints, since degrees exceed 255 for large C).  Between rounds,
-every vertex first monitored in round t is counted out of its neighbors'
-counts, so counts stay frozen within a round and rounds stay
-simultaneous.  Round 1 examines every vertex of P_0.  Round t+1 examines
-the vertices new in round t and the older monitored vertices whose count
-fell to k while those were counted.  No other vertex can fire anything
-new: it either kept its count, so it fired already or still cannot, or
-its count was at most k already when it was last examined, so it fired
-then.  A vertex is new once, falls to k at most once, and fires with an
-unmonitored neighbor at most once, so a whole run reads |S| rows for
-N[S], n for the initial counts, at most n to count new vertices and at
-most min(n, 2|E|) to fire: at most |S| + 2n + 2|E| rows and O(n + |E|)
-work, however many rounds it takes.  No n-bit set is ever built.
+The engine, ``_run``, is the one round loop behind every public call, and
+every call starts it from N[S] for a seed set S, so rounds only grow as
+shown above.  It works on the adjacency rows and two per-vertex lists: the
+round at which each vertex was first monitored, and its count of
+unmonitored neighbors, which for a monitored vertex is its count of
+unmonitored closed neighbors (a list of ints, since degrees exceed 255 for
+large C).  Between rounds, every vertex first monitored in round t is
+counted out of its neighbors' counts, so counts stay frozen within a round
+and rounds stay simultaneous.  Round 1 examines every vertex of P_0.
+Round t+1 examines the vertices new in round t and the older monitored
+vertices whose count fell to k while those were counted.  No other vertex
+can fire anything new: it either kept its count, so it fired already or
+still cannot, or its count was at most k already when it was last
+examined, so it fired then.  A vertex is new once, falls to k at most
+once, and fires with an unmonitored neighbor at most once, so a whole run
+reads |S| rows for N[S], n for the initial counts, at most n to count new
+vertices and at most min(n, 2|E|) to fire: at most |S| + 2n + 2|E| rows
+and O(n + |E|) work, however many rounds it takes.  No n-bit set is ever
+built.  ``MonitorTrace`` is the one result of a run: whether it covers,
+its radius, and the round of every vertex.
 
 An intentionally naive mirror of these semantics lives in ``reference``
 and is compared against this engine by the test suite, as is the
@@ -43,7 +46,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .topology import ParameterDomainError, PyramidGraph, address_list, check_printable
 
@@ -81,28 +84,23 @@ def _closed(adj: Rows, S: Iterable[int], first: list) -> list[int]:
     return P
 
 
-def _rounds(adj: Rows, k: int, first: list,
-            P: list[int]) -> Iterator[tuple[list[int], list[int]]]:
-    """The one round loop: (fired, new) for each simultaneous round from P.
+def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int, bool]:
+    """The one round loop: simultaneous rounds from N[S] to coverage or fixpoint.
 
-    ``P`` lists the distinct monitored vertices, each stamped 0 in
-    ``first`` (NEVER everywhere else); every vertex first monitored in
-    round t is stamped t.  ``fired`` holds the examined vertices with at
-    most k unmonitored closed neighbors, ``new`` the vertices they monitor
-    first.  Round 1 examines every vertex of P, so its ``fired`` is exact
-    for any P; later rounds examine only the frontier (see the module
-    docstring), which is exact when P is a union of closed neighborhoods
-    such as N[S].  The iterator ends after the first round that covers
-    every vertex or monitors nothing new; that round is yielded too.
+    Returns ``first``, the round at which each vertex was first monitored
+    (0 for N[S], NEVER if never), the index of the last round, and whether
+    every vertex is monitored.  The loop ends after the first round that
+    covers every vertex or monitors nothing new; that round counts too.
     """
+    n = len(adj)
+    first = [NEVER] * n
+    new = _closed(adj, S, first)
+    covered = len(new)
     # Unmonitored neighbors of each vertex; for a monitored vertex, the only
     # kind ever examined, that is its count of unmonitored closed neighbors.
     unmon = list(map(len, adj))
-    covered = len(P)
-    n = len(adj)
-    new = P
     t = 0
-    while True:
+    while covered < n:
         # Count the vertices of new_t out of their neighbors' counts; an
         # older monitored vertex whose count falls to k can now fire.
         fell = []
@@ -113,40 +111,18 @@ def _rounds(adj: Rows, k: int, first: list,
                 if c == k and first[w] < t:
                     fell.append(w)
         t += 1
-        fired = []
         nxt = []
         for v in new + fell:
-            c = unmon[v]
-            if c <= k:
-                fired.append(v)
-                if c:
-                    for w in adj[v]:
-                        if first[w] is NEVER:
-                            first[w] = t
-                            nxt.append(w)
-        yield fired, nxt
+            if 0 < unmon[v] <= k:
+                for w in adj[v]:
+                    if first[w] is NEVER:
+                        first[w] = t
+                        nxt.append(w)
+        if not nxt:
+            break
         covered += len(nxt)
-        if not nxt or covered == n:
-            return
         new = nxt
-
-
-def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int, bool]:
-    """Rounds from N[S] to coverage or fixpoint: first steps, last round, covered."""
-    first = [NEVER] * len(adj)
-    P = _closed(adj, S, first)
-    covered = len(P)
-    step = 0
-    if covered < len(adj):
-        for step, (_, new) in enumerate(_rounds(adj, k, first, P), 1):
-            covered += len(new)
-    return first, step, covered == len(adj)
-
-
-def _cover_step(adj: Rows, k: int, S: Iterable[int]) -> int | None:
-    """First round index at which monitoring covers every vertex, else None."""
-    _, step, covered = _run(adj, k, S)
-    return step if covered else None
+    return first, t, covered == n
 
 
 class _Rounds(Sequence):
@@ -211,37 +187,15 @@ class MonitorTrace:
         """True iff the last round monitors every vertex."""
         return NEVER not in self.first_step
 
-
-@dataclass(frozen=True)
-class PdsCertificate:
-    """A candidate set together with the evidence of what it monitors."""
-
-    members: frozenset[int]
-    is_kpds: bool
-    radius: int | float
-    trace: MonitorTrace
-    provenance: str
+    @property
+    def radius(self) -> int | float:
+        """``round_count`` when the run covers every vertex, else ``NEVER``."""
+        return self.round_count if self.covered else NEVER
 
 
 def closed_neighborhood(g: PyramidGraph, S: Iterable[int]) -> set[int]:
     """Union of closed neighborhoods N[v] over v in S."""
     return set(_closed(g.adjacency, _vertex_set(g, S), [NEVER] * g.n))
-
-
-def propagate_round(g: PyramidGraph, k: int, P: Iterable[int]) -> set[int]:
-    """One simultaneous round from monitored set P.
-
-    Returns the union of N[v] over monitored v with at most k unmonitored
-    closed neighbors, computed against the input set only.  Callers keep P
-    a union of closed neighborhoods, which makes rounds monotone.
-    """
-    _check_k(k)
-    P = _vertex_set(g, P)
-    first = [NEVER] * g.n
-    for v in P:
-        first[v] = 0
-    fired, _ = next(_rounds(g.adjacency, k, first, list(P)))
-    return closed_neighborhood(g, fired)
 
 
 def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrace:
@@ -258,27 +212,14 @@ def is_kpds(g: PyramidGraph, k: int, S: Iterable[int]) -> bool:
     For k=0 this is exactly the dominating-set predicate.
     """
     _check_k(k)
-    return _cover_step(g.adjacency, k, _vertex_set(g, S)) is not None
+    return _run(g.adjacency, k, _vertex_set(g, S))[2]
 
 
 def radius_of_set(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
     """1 + the first round index with full coverage; NEVER when S is no k-PDS."""
     _check_k(k)
-    step = _cover_step(g.adjacency, k, _vertex_set(g, S))
-    return NEVER if step is None else 1 + step
-
-
-def make_certificate(g: PyramidGraph, k: int, S: Iterable[int],
-                     provenance: str = "user") -> PdsCertificate:
-    """Run a full trace for S and package the verdict."""
-    trace = propagate_fixpoint(g, k, S)
-    return PdsCertificate(
-        members=frozenset(trace.seed),
-        is_kpds=trace.covered,
-        radius=trace.round_count if trace.covered else NEVER,
-        trace=trace,
-        provenance=provenance,
-    )
+    _, step, covered = _run(g.adjacency, k, _vertex_set(g, S))
+    return 1 + step if covered else NEVER
 
 
 def _round_lists(g: PyramidGraph, trace: MonitorTrace) -> list[list[str]]:
@@ -298,12 +239,14 @@ def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
     }
 
 
-def certificate_to_json(g: PyramidGraph, cert: PdsCertificate) -> dict:
+def certificate_to_json(g: PyramidGraph, trace: MonitorTrace, provenance: str) -> dict:
+    """The trace of a candidate set with its verdict, as the ``construct`` payload."""
+    doc = trace_to_json(g, trace)
     return {
-        "set": address_list(g, cert.members),
-        "size": len(cert.members),
-        "is_kpds": cert.is_kpds,
-        "radius": None if math.isinf(cert.radius) else cert.radius,
-        "provenance": cert.provenance,
-        "trace": trace_to_json(g, cert.trace),
+        "set": doc["seed"],
+        "size": len(trace.seed),
+        "is_kpds": trace.covered,
+        "radius": doc["radius"],
+        "provenance": provenance,
+        "trace": doc,
     }

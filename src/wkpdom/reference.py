@@ -1,7 +1,10 @@
 """Deliberately naive re-implementations used as independent oracles.
 
 Everything here mirrors the public propagation and search semantics with
-plain Python sets and exhaustive loops.  No code is shared with the two
+plain Python sets and exhaustive loops.  ``naive_round`` is one
+simultaneous round, the step of ``naive_fixpoint_rounds``; the package runs
+rounds only from the closed neighborhood of a seed set, so the tests
+compare whole runs.  No code is shared with the two
 fast implementations of the rounds: the counter loop of ``propagation``
 (one fixpoint on a graph of any size) and the bit-parallel kernel of
 ``exact`` (millions of fixpoints on a few hundred vertices), which share

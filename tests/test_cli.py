@@ -62,6 +62,17 @@ class TestGen:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "C <= 10" in captured.err
 
+    @pytest.mark.parametrize("verb,extra", [
+        ("construct", []), ("verify", ["--set", "(0,(1))"]), ("exact", []), ("radius", []),
+        ("trace", ["--set", "(0,(1))"]),
+    ])
+    def test_negative_k_exit_2(self, capsys, verb, extra):
+        code = main([verb, "--C", "3", "--L", "2", "--k", "-1", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: k must be >= 0, got -1\n"
+
 
 class TestConstruct:
     def test_level2_example(self, capsys):
@@ -82,18 +93,17 @@ class TestConstruct:
     @pytest.mark.parametrize("C,L,k", [(3, 3, 1), (2, 4, 1), (4, 3, 3), (3, 2, 1)])
     def test_one_propagation_fixpoint_per_call(self, capsys, monkeypatch, C, L, k):
         calls = []
-        for name in ("_cover_step", "propagate_fixpoint"):
-            real = getattr(propagation, name)
+        real = propagation._run
 
-            def counted(*args, _name=name, _real=real):
-                calls.append(_name)
-                return _real(*args)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-            monkeypatch.setattr(propagation, name, counted)
+        monkeypatch.setattr(propagation, "_run", counted)
         code, out = run(capsys, "construct", "--C", str(C), "--L", str(L), "--k", str(k))
         assert code == 0
         assert json.loads(out)["is_kpds"] is True
-        assert calls == ["propagate_fixpoint"]
+        assert len(calls) == 1
 
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "construct_kpds",

@@ -45,6 +45,8 @@ class TestRegimes:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ParameterDomainError):
             regime_of(0, 3, 1)
+        with pytest.raises(ParameterDomainError, match=r"^k must be >= 0, got -1$"):
+            regime_of(3, 3, -1)
 
     def test_regimes_cover_and_exclude(self):
         # exactly one regime per parameter point, matching its defining bounds

@@ -87,7 +87,8 @@ class TestRadius:
         result = min_kpds(wkp32, 1, SearchBudget(max_subset_count=30))
         assert result.gamma == 2
         assert not result.exhausted
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError,
+                           match=r"^radius needs every size-2 set enumerated; budget ran out$"):
             propagation_radius(wkp32, 1, SearchBudget(max_subset_count=30))
 
 
@@ -125,7 +126,8 @@ class TestLevel1Intersection:
 
     def test_budget_runs_out_inside_the_gamma_level(self, wkp32):
         # gamma=2 is found at check 26, but the 78 pairs are not all checked
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError,
+                           match=r"^needs every size-2 set enumerated; budget ran out$"):
             level1_intersection_check(wkp32, 1, SearchBudget(max_subset_count=30))
 
     def test_regime_guard(self, wkp32):

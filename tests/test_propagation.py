@@ -20,14 +20,12 @@ from wkpdom import (
     construct_kpds,
     construct_level2,
     is_kpds,
-    make_certificate,
     propagate_fixpoint,
-    propagate_round,
     radius_of_set,
     trace_to_json,
 )
 from wkpdom.exact import _bit_step, _closed_masks
-from wkpdom.reference import naive_fixpoint_rounds, naive_is_kpds, naive_radius, naive_round
+from wkpdom.reference import naive_fixpoint_rounds, naive_is_kpds, naive_radius
 
 GRAPHS = [build_wkp(3, 2), build_wkp(2, 3)]
 
@@ -90,28 +88,21 @@ class TestRound:
     def test_zero_allowance_blocks_single_gap(self):
         # (1,(0)) has exactly one unmonitored neighbor here; k=0 may not extend
         g = build_wkp(1, 4)
-        P = closed_neighborhood(g, [g.ordinal(APEX)])
-        assert propagate_round(g, 0, P) == P
-        assert propagate_round(g, 1, P) > P
+        seed = [g.ordinal(APEX)]
+        P0 = closed_neighborhood(g, seed)
+        assert propagate_fixpoint(g, 0, seed).rounds[1] == P0
+        assert propagate_fixpoint(g, 1, seed).rounds[1] > P0
 
     def test_level2_seed_first_round(self, wkp52):
         S = ordinals(wkp52, construct_level2(5, 1))
-        P0 = closed_neighborhood(wkp52, S)
-        P1 = propagate_round(wkp52, 1, P0)
-        added = {str(wkp52.vertices[v]) for v in P1 - P0}
+        rounds = propagate_fixpoint(wkp52, 1, S).rounds
+        added = {str(wkp52.vertices[v]) for v in rounds[1] - rounds[0]}
         assert added == {"(2,(01))", "(2,(02))", "(2,(03))", "(2,(04))"}
 
     def test_full_set_is_fixed(self, wkp32):
-        everything = set(range(wkp32.n))
-        assert propagate_round(wkp32, 1, everything) == everything
-
-    @pytest.mark.parametrize("g", GRAPHS, ids=["wkp32", "wkp23"])
-    @given(seed=seed_sets, k=ks)
-    @settings(max_examples=60, deadline=None)
-    def test_matches_naive_round(self, g, seed, k):
-        seed = {v % g.n for v in seed}
-        P = closed_neighborhood(g, seed)
-        assert propagate_round(g, k, P) == naive_round(g, k, P)
+        trace = propagate_fixpoint(wkp32, 1, range(wkp32.n))
+        assert trace.round_count == 1
+        assert trace.rounds[0] == frozenset(range(wkp32.n))
 
 
 class TestFixpoint:
@@ -202,6 +193,7 @@ def test_engine_and_exact_kernel_agree_with_reference(family, C, L):
             radius = naive_radius(g, k, S)
             step = _bit_step(masks, full, k, functools.reduce(operator.or_, (masks[v] for v in S)))
             assert radius_of_set(g, k, S) == radius
+            assert propagate_fixpoint(g, k, S).radius == radius
             assert (math.inf if step is None else 1 + step) == radius
             assert [set(r) for r in propagate_fixpoint(g, k, S).rounds] == rounds
 
@@ -217,7 +209,6 @@ def test_closed_degree_above_255(k):
     assert radius_of_set(g, k, [v]) == naive_radius(g, k, [v])
     assert [set(r) for r in propagate_fixpoint(g, k, [v]).rounds] == \
         naive_fixpoint_rounds(g, k, [v])
-    assert propagate_round(g, k, [v]) == naive_round(g, k, {v})
 
 
 class TestPredicates:
@@ -259,17 +250,16 @@ class TestRadius:
 class TestCertificates:
     def test_certificate_fields(self, wkp32):
         S = ordinals(wkp32, construct_level2(3, 1))
-        cert = make_certificate(wkp32, 1, S, provenance="level2")
-        assert cert.is_kpds
-        assert cert.radius == 3
-        assert cert.members == frozenset(S)
-        assert cert.provenance == "level2"
-        assert cert.radius == 1 + max(s for s in cert.trace.first_step)
+        trace = propagate_fixpoint(wkp32, 1, S)
+        assert trace.covered
+        assert trace.radius == radius_of_set(wkp32, 1, S) == 3
+        assert trace.seed == frozenset(S)
+        assert trace.radius == 1 + max(s for s in trace.first_step)
 
     def test_trace_json_round_data(self, wkp32):
         trace = propagate_fixpoint(wkp32, 1, [wkp32.ordinal(APEX)])
         doc = trace_to_json(wkp32, trace)
         assert doc["k"] == 1
         assert doc["seed"] == ["(0,(1))"]
-        assert doc["radius"] is None
+        assert doc["radius"] is None and math.isinf(trace.radius)
         assert doc["rounds"][-1] == doc["rounds"][-2]
