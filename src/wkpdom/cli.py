@@ -27,11 +27,7 @@ from .exact import (
     min_kpds,
     propagation_radius,
 )
-from .propagation import (
-    certificate_to_json,
-    propagate_fixpoint,
-    trace_to_json,
-)
+from .propagation import propagate_fixpoint, trace_to_json
 from .report import report_to_json_text, run_check_paper
 from .topology import (
     DEFAULT_MAX_VERTICES,
@@ -143,10 +139,11 @@ def _construct_payload(args: argparse.Namespace) -> dict:
     if not trace.covered:
         raise ConstructionError(
             f"construction for (C={args.C}, L={args.L}, k={args.k}) failed verification")
-    payload = {"C": args.C, "L": args.L, "k": args.k,
-               "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json()}
-    payload.update(certificate_to_json(g, trace, provenance))
-    return payload
+    doc = trace_to_json(g, trace)
+    return {"C": args.C, "L": args.L, "k": args.k,
+            "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json(),
+            "set": doc["seed"], "size": len(trace.seed), "is_kpds": trace.covered,
+            "radius": doc["radius"], "provenance": provenance, "trace": doc}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

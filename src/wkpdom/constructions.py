@@ -14,9 +14,11 @@ Four parameter regimes cover all C, L >= 1 and k >= 1:
 
 ``regime_of`` returns the ``RegimeTag`` and ``ham_cycle_wk`` the cycle's
 digit strings in cyclic order.  The builders only assemble vertex sets and
-check their own bookkeeping (sizes, bridge cliques); whether a set is a
-k-PDS is decided once, by the caller that reports it, with the propagation
-engine.
+check their own bookkeeping: bridge cliques, and for the general and
+spine sets a size equal to ``gamma_formula``'s.  ``construct_kpds`` is the
+one dispatch, read by both ``construct`` and ``check-paper``; whether a set
+is a k-PDS is decided once, by the caller that reports it, with the
+propagation engine.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .topology import APEX, Address, ParameterDomainError, block_bridge
+from .topology import APEX, Address, ParameterDomainError, block_bridge, check_dimensions, check_k
 
 
 class RegimeError(ValueError):
@@ -59,12 +61,8 @@ def regime_of(C: int, L: int, k: int) -> RegimeTag:
     k=0 is plain domination and has no closed-form regime here; a negative
     k is a parameter error.
     """
-    if C < 1:
-        raise ParameterDomainError(f"C must be >= 1, got {C}")
-    if L < 1:
-        raise ParameterDomainError(f"L must be >= 1, got {L}")
-    if k < 0:
-        raise ParameterDomainError(f"k must be >= 0, got {k}")
+    check_dimensions(C, L)
+    check_k(k)
     if k == 0:
         raise RegimeError("k=0 is plain domination; regimes require k >= 1")
     if C == 1 or L == 1 or k >= C:
@@ -118,22 +116,23 @@ def construct_level2(C: int, k: int) -> set[Address]:
     return {Address(1, (i,)) for i in range(k, C)}
 
 
-def _ham_path(C: int, m: int, a: int, b: int) -> list[tuple[int, ...]]:
-    """Hamiltonian path of WK(C, m) from extreme vertex (a)^m to (b)^m, a != b.
+def _ham_path(C: int, m: int, ends: list[int]) -> list[tuple[int, ...]]:
+    """Hamiltonian path of WK(C, m) through the sub-meshes ``ends[1:-1]`` in order.
 
-    Visits the C sub-meshes in the order a, ascending others, b; consecutive
-    sub-meshes are joined by their unique bridge, which attaches at the
-    extreme vertices i (j)^(m-1) and j (i)^(m-1).
+    Sub-mesh s = ends[t] is crossed from its extreme vertex toward a =
+    ends[t-1] to the one toward b = ends[t+1], s (a)^(m-1) to s (b)^(m-1),
+    by the path through its own sub-meshes a, ascending others, b.
+    Consecutive sub-meshes i and j are joined by their unique bridge, which
+    attaches at i (j)^(m-1) and j (i)^(m-1); toward itself, a sub-mesh's
+    extreme vertex is that of WK(C, m).
     """
     if m == 1:
-        return [(a,)] + [(d,) for d in range(C) if d not in (a, b)] + [(b,)]
-    order = [a] + [d for d in range(C) if d not in (a, b)] + [b]
-    last = len(order) - 1
+        return [(s,) for s in ends[1:-1]]
     path: list[tuple[int, ...]] = []
-    for t, s in enumerate(order):
-        enter = a if t == 0 else order[t - 1]
-        leave = b if t == last else order[t + 1]
-        path.extend((s,) + suffix for suffix in _ham_path(C, m - 1, enter, leave))
+    for t in range(1, len(ends) - 1):
+        a, b = ends[t - 1], ends[t + 1]
+        inner = [a, a, *(d for d in range(C) if d not in (a, b)), b, b]
+        path.extend((ends[t],) + suffix for suffix in _ham_path(C, m - 1, inner))
     return path
 
 
@@ -149,14 +148,7 @@ def ham_cycle_wk(C: int, m: int) -> tuple[tuple[int, ...], ...]:
         raise ParameterDomainError(f"a Hamiltonian cycle needs C >= 3, got C={C}")
     if m < 1:
         raise ParameterDomainError(f"m must be >= 1, got {m}")
-    if m == 1:
-        return tuple((d,) for d in range(C))
-    seq: list[tuple[int, ...]] = []
-    for i in range(C):
-        enter = (i - 1) % C
-        leave = (i + 1) % C
-        seq.extend((i,) + suffix for suffix in _ham_path(C, m - 1, enter, leave))
-    return tuple(seq)
+    return tuple(_ham_path(C, m, [C - 1, *range(C), 0]))
 
 
 def construct_general(C: int, L: int, k: int) -> set[Address]:
@@ -192,7 +184,7 @@ def construct_general(C: int, L: int, k: int) -> set[Address]:
         spare = [c for c in range(C) if c not in (clique_in, clique_out)]
         for c in spare[: C - k - 2]:
             chosen.add(Address(L, block + (c, 1 if c == 0 else 0)))
-    expected = (C - k - 1) * C ** (L - 2)
+    expected = gamma_formula(C, L, k).value
     if len(chosen) != expected:
         raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")
     return chosen
@@ -214,7 +206,7 @@ def construct_kc1(C: int, L: int) -> set[Address]:
         chosen.add(Address(1, (0,)))
     else:
         chosen = {Address(3 * i - 2, (0,) * (3 * i - 2)) for i in range(1, m + 2)}
-    expected = (L + 3) // 3
+    expected = gamma_formula(C, L, C - 1).value
     if len(chosen) != expected:
         raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")
     return chosen

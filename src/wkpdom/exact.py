@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .constructions import RegimeError
-from .topology import WKP, ParameterDomainError, PyramidGraph, address_list
+from .topology import WKP, ParameterDomainError, PyramidGraph, address_list, check_k
 
 #: How often the progress callback fires, in propagation checks.
 PROGRESS_INTERVAL = 5_000
@@ -65,16 +65,16 @@ class BudgetExceededError(RuntimeError):
 class ExactResult:
     """Outcome of ``min_kpds``.
 
-    ``witnesses`` holds optimal sets up to ``witness_cap`` in lexicographic
-    order; ``radius`` is minimized over every optimal set found, and
-    ``exhausted`` records whether the whole cardinality level of ``gamma``
-    was enumerated (required for the radius to be the graph's).
+    ``witnesses`` holds optimal sets up to the ``witness_cap`` of
+    ``min_kpds`` in lexicographic order; ``radius`` is minimized over every
+    optimal set found, and ``exhausted`` records whether the whole
+    cardinality level of ``gamma`` was enumerated (required for the radius
+    to be the graph's).
     """
 
     gamma: int
     witnesses: tuple[frozenset[int], ...]
-    witness_cap: int
-    radius: int | float
+    radius: int
     exhausted: bool
     checks_performed: int
 
@@ -134,8 +134,7 @@ def _covering_sets(g: PyramidGraph, k: int, sizes: range, budget: SearchBudget |
     with the first size that holds one.  Every check counts against the
     budget before it runs; running out raises ``BudgetExceededError``.
     """
-    if k < 0:
-        raise ParameterDomainError(f"k must be >= 0, got {k}")
+    check_k(k)
     budget = budget or SearchBudget()
     masks, full = _closed_masks(g)
     n = g.n
@@ -190,12 +189,12 @@ def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
     except BudgetExceededError as exc:
         if not gamma:
             raise
-        return ExactResult(gamma, tuple(witnesses), witness_cap, radius,
-                           exhausted=False, checks_performed=exc.checks_performed)
+        return ExactResult(gamma, tuple(witnesses), radius, exhausted=False,
+                           checks_performed=exc.checks_performed)
     # No budget stop, so every subset of sizes 1..gamma was checked.
     checks = sum(math.comb(g.n, size) for size in range(1, gamma + 1))
-    return ExactResult(gamma, tuple(witnesses), witness_cap, radius,
-                       exhausted=True, checks_performed=checks)
+    return ExactResult(gamma, tuple(witnesses), radius, exhausted=True,
+                       checks_performed=checks)
 
 
 def _whole_level(result: ExactResult, prefix: str) -> ExactResult:
@@ -216,9 +215,7 @@ def propagation_radius(g: PyramidGraph, k: int, budget: SearchBudget | None = No
     Requires the exhaustive sweep of the optimal cardinality level to
     complete within budget.
     """
-    result = _whole_level(min_kpds(g, k, budget, progress=progress), "radius ")
-    assert isinstance(result.radius, int)
-    return result.radius
+    return _whole_level(min_kpds(g, k, budget, progress=progress), "radius ").radius
 
 
 def verify_lower_bound(g: PyramidGraph, k: int, bound: int,
@@ -259,7 +256,7 @@ def exact_result_to_json(g: PyramidGraph, k: int, result: ExactResult) -> dict:
         "k": k,
         "gamma": result.gamma,
         "witness": address_list(g, witness),
-        "radius": None if math.isinf(result.radius) else result.radius,
+        "radius": result.radius,
         "exhausted": result.exhausted,
         "checks_performed": result.checks_performed,
     }

@@ -33,7 +33,8 @@ reads |S| rows for N[S], n for the initial counts, at most n to count new
 vertices and at most min(n, 2|E|) to fire: at most |S| + 2n + 2|E| rows
 and O(n + |E|) work, however many rounds it takes.  No n-bit set is ever
 built.  ``MonitorTrace`` is the one result of a run: whether it covers,
-its radius, and the round of every vertex.
+its radius, and the round of every vertex; ``is_kpds`` and
+``radius_of_set`` return its ``covered`` and ``radius``.
 
 An intentionally naive mirror of these semantics lives in ``reference``
 and is compared against this engine by the test suite, as is the
@@ -48,7 +49,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
-from .topology import ParameterDomainError, PyramidGraph, address_list, check_printable
+from .topology import ParameterDomainError, PyramidGraph, address_list, check_k
 
 #: Radius / first-step sentinel for "never monitored".
 NEVER = math.inf
@@ -65,11 +66,6 @@ def _vertex_set(g: PyramidGraph, S: Iterable[int]) -> set[int]:
     return S
 
 
-def _check_k(k: int) -> None:
-    if k < 0:
-        raise ParameterDomainError(f"k must be >= 0, got {k}")
-
-
 def _closed(adj: Rows, S: Iterable[int], first: list) -> list[int]:
     """The vertices of N[S] not yet monitored in ``first``, now stamped round 0."""
     P = []
@@ -84,13 +80,13 @@ def _closed(adj: Rows, S: Iterable[int], first: list) -> list[int]:
     return P
 
 
-def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int, bool]:
+def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int]:
     """The one round loop: simultaneous rounds from N[S] to coverage or fixpoint.
 
     Returns ``first``, the round at which each vertex was first monitored
-    (0 for N[S], NEVER if never), the index of the last round, and whether
-    every vertex is monitored.  The loop ends after the first round that
-    covers every vertex or monitors nothing new; that round counts too.
+    (0 for N[S], NEVER if never), and the index of the last round.  The
+    loop ends after the first round that covers every vertex or monitors
+    nothing new; that round counts too.
     """
     n = len(adj)
     first = [NEVER] * n
@@ -122,7 +118,7 @@ def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int, bool]:
             break
         covered += len(nxt)
         new = nxt
-    return first, t, covered == n
+    return first, t
 
 
 class _Rounds(Sequence):
@@ -200,9 +196,9 @@ def closed_neighborhood(g: PyramidGraph, S: Iterable[int]) -> set[int]:
 
 def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrace:
     """Run rounds from the closed neighborhood of S until coverage or fixpoint."""
-    _check_k(k)
+    check_k(k)
     S = _vertex_set(g, S)
-    first, step, _ = _run(g.adjacency, k, S)
+    first, step = _run(g.adjacency, k, S)
     return MonitorTrace(k=k, seed=frozenset(S), first_step=tuple(first), round_count=step + 1)
 
 
@@ -211,20 +207,19 @@ def is_kpds(g: PyramidGraph, k: int, S: Iterable[int]) -> bool:
 
     For k=0 this is exactly the dominating-set predicate.
     """
-    _check_k(k)
-    return _run(g.adjacency, k, _vertex_set(g, S))[2]
+    return propagate_fixpoint(g, k, S).covered
 
 
 def radius_of_set(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
-    """1 + the first round index with full coverage; NEVER when S is no k-PDS."""
-    _check_k(k)
-    _, step, covered = _run(g.adjacency, k, _vertex_set(g, S))
-    return 1 + step if covered else NEVER
+    """The run's round count when S is a k-PDS, else NEVER (``MonitorTrace.radius``)."""
+    return propagate_fixpoint(g, k, S).radius
 
 
 def _round_lists(g: PyramidGraph, trace: MonitorTrace) -> list[list[str]]:
-    """Addresses monitored by each round, in ordinal order, one str() per vertex."""
-    check_printable(g.C)
+    """Addresses monitored by each round, in ordinal order, one str() per vertex.
+
+    Only ``trace_to_json`` calls it, after ``address_list`` has refused C > 10.
+    """
     named = [(s, str(g.vertices[v])) for v, s in enumerate(trace.first_step) if s != NEVER]
     return [[a for s, a in named if s <= i] for i in range(trace.round_count)]
 
@@ -236,17 +231,4 @@ def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
         "seed": address_list(g, trace.seed),
         "rounds": _round_lists(g, trace),
         "radius": trace.round_count if trace.covered else None,
-    }
-
-
-def certificate_to_json(g: PyramidGraph, trace: MonitorTrace, provenance: str) -> dict:
-    """The trace of a candidate set with its verdict, as the ``construct`` payload."""
-    doc = trace_to_json(g, trace)
-    return {
-        "set": doc["seed"],
-        "size": len(trace.seed),
-        "is_kpds": trace.covered,
-        "radius": doc["radius"],
-        "provenance": provenance,
-        "trace": doc,
     }

@@ -86,6 +86,20 @@ def check_printable(C: int) -> None:
         )
 
 
+def check_dimensions(C: int, L: int) -> None:
+    """Refuse C < 1 or L < 1: every graph here has at least one digit and one level."""
+    if C < 1:
+        raise ParameterDomainError(f"C must be >= 1, got {C}")
+    if L < 1:
+        raise ParameterDomainError(f"L must be >= 1, got {L}")
+
+
+def check_k(k: int) -> None:
+    """Refuse a negative propagation allowance; k=0 is plain domination."""
+    if k < 0:
+        raise ParameterDomainError(f"k must be >= 0, got {k}")
+
+
 def address_list(g: PyramidGraph, ordinals: Iterable[int]) -> list[str]:
     """The addresses of ``ordinals`` as literals, in ordinal order (C <= 10)."""
     check_printable(g.C)
@@ -222,10 +236,7 @@ def _value(digits: tuple[int, ...], C: int) -> int:
 
 
 def _check_parameters(C: int, L: int, count: int, max_vertices: int) -> None:
-    if C < 1:
-        raise ParameterDomainError(f"C must be >= 1, got {C}")
-    if L < 1:
-        raise ParameterDomainError(f"L must be >= 1, got {L}")
+    check_dimensions(C, L)
     if count > max_vertices:
         raise ParameterDomainError(
             f"graph would have {count} vertices, above the cap of {max_vertices}"

@@ -6,8 +6,12 @@ claim that is infeasible to enumerate exhaustively at desk scale must come
 back flagged ``skipped-budget`` with its construction-side half verified.
 """
 
+import dataclasses
+
 import pytest
 
+import wkpdom.report as paper_report
+from wkpdom import NEVER, propagation
 from wkpdom.report import run_check_paper
 
 CRITERIA = {
@@ -54,3 +58,33 @@ def test_informational_probes_hold(report):
 
 def test_no_failures_anywhere(report):
     assert report.failures == ()
+
+
+def test_round_row_fails_when_engine_rounds_leave_the_naive_ones(monkeypatch):
+    # Stamping every monitored vertex with the last round keeps the rounds
+    # growing, so only the comparison with the naive rounds can catch it.
+    real = paper_report.propagate_fixpoint
+
+    def late(g, k, S):
+        trace = real(g, k, S)
+        last = trace.round_count - 1
+        stamps = tuple(s if s == NEVER else last for s in trace.first_step)
+        return dataclasses.replace(trace, first_step=stamps)
+
+    monkeypatch.setattr(paper_report, "propagate_fixpoint", late)
+    ok, computed = paper_report._prop_round_monotonicity()
+    assert not ok, computed
+
+
+def test_domination_row_fails_when_the_engine_misreads_closed_neighbourhoods(monkeypatch):
+    # A round 0 that monitors every vertex makes any seed a k-PDS; domination
+    # must come from outside the engine for the row to notice.
+    def everyone(adj, S, first):
+        fresh = [v for v, s in enumerate(first) if s == NEVER]
+        for v in fresh:
+            first[v] = 0
+        return fresh
+
+    monkeypatch.setattr(propagation, "_closed", everyone)
+    ok, computed = paper_report._prop_k0_domination()
+    assert not ok, computed

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from wkpdom import (
@@ -18,6 +21,9 @@ from wkpdom import (
     is_kpds,
     regime_of,
 )
+
+#: ham_cycle_wk(C, m) for C in 3..5 and m in 1..3, digit strings in cyclic order.
+HAM_CYCLES = Path(__file__).parent / "data" / "ham_cycles.json"
 
 
 def ordinals(g, addresses):
@@ -140,6 +146,13 @@ class TestHamiltonianCycles:
         for t, w in enumerate(order):
             succ = order[(t + 1) % len(order)]
             assert g.has_edge(g.ordinal(Address(m, w)), g.ordinal(Address(m, succ)))
+
+    @pytest.mark.parametrize("C", [3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_cycle_order_is_pinned(self, C, m):
+        # construct_general picks its vertices along this order.
+        golden = json.loads(HAM_CYCLES.read_text())[f"{C},{m}"]
+        assert ham_cycle_wk(C, m) == tuple(tuple(map(int, w)) for w in golden)
 
     @pytest.mark.parametrize("C", [1, 2])
     def test_small_alphabet_rejected(self, C):
