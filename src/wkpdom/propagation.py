@@ -43,13 +43,14 @@ bit-parallel kernel of the exhaustive search in ``exact``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
-from .topology import ParameterDomainError, PyramidGraph, address_list, check_k
+from .topology import ParameterDomainError, PyramidGraph, address_literals, check_k
 
 #: Radius / first-step sentinel for "never monitored".
 NEVER = math.inf
@@ -178,9 +179,9 @@ class MonitorTrace:
     def rounds(self) -> Sequence[frozenset[int]]:
         return _Rounds(self.first_step, self.round_count)
 
-    @property
+    @functools.cached_property
     def covered(self) -> bool:
-        """True iff the last round monitors every vertex."""
+        """True iff the last round monitors every vertex (one scan, then cached)."""
         return NEVER not in self.first_step
 
     @property
@@ -215,20 +216,37 @@ def radius_of_set(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
     return propagate_fixpoint(g, k, S).radius
 
 
-def _round_lists(g: PyramidGraph, trace: MonitorTrace) -> list[list[str]]:
-    """Addresses monitored by each round, in ordinal order, one str() per vertex.
+def _round_lists(literals: list[str], trace: MonitorTrace) -> list[list[str]]:
+    """Addresses monitored by each round, in ordinal order.
 
-    Only ``trace_to_json`` calls it, after ``address_list`` has refused C > 10.
+    The vertices first monitored in round i are merged into the sorted
+    list of round i-1 (a sorted list plus a sorted run, which ``sort``
+    merges in linear time), so every round costs its own length and every
+    list holds the same str objects from ``literals``.
     """
-    named = [(s, str(g.vertices[v])) for v, s in enumerate(trace.first_step) if s != NEVER]
-    return [[a for s, a in named if s <= i] for i in range(trace.round_count)]
+    fresh = [[] for _ in range(trace.round_count)]
+    for v, s in enumerate(trace.first_step):
+        if s != NEVER:
+            fresh[s].append(v)
+    monitored, rounds = [], []
+    for new in fresh:
+        monitored += new
+        monitored.sort()
+        rounds.append(list(map(literals.__getitem__, monitored)))
+    return rounds
+
+
+def radius_to_json(trace: MonitorTrace) -> int | None:
+    """``MonitorTrace.radius`` as JSON: the round count, or null for a stuck run."""
+    return trace.round_count if trace.covered else None
 
 
 def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
     """Trace as {k, seed, rounds, radius}; radius is null for a stuck run."""
+    literals = address_literals(g)
     return {
         "k": trace.k,
-        "seed": address_list(g, trace.seed),
-        "rounds": _round_lists(g, trace),
-        "radius": trace.round_count if trace.covered else None,
+        "seed": [literals[v] for v in sorted(trace.seed)],
+        "rounds": _round_lists(literals, trace),
+        "radius": radius_to_json(trace),
     }

@@ -106,6 +106,25 @@ def address_list(g: PyramidGraph, ordinals: Iterable[int]) -> list[str]:
     return [str(g.vertices[v]) for v in sorted(ordinals)]
 
 
+def address_literals(g: PyramidGraph) -> list[str]:
+    """The literal of every vertex, indexed by ordinal (C <= 10).
+
+    Equal to ``[str(a) for a in g.vertices]``, but each level's digit
+    strings are grown from the level above by appending one digit, so a
+    literal costs one string concatenation instead of a format call.
+    """
+    check_printable(g.C)
+    digits = "0123456789"[:g.C]
+    literals = ["(0,(1))"] if g.family == WKP else []
+    strings = [""]
+    for r in range(1, g.L + 1):
+        strings = [s + c for s in strings for c in digits]
+        if g.family == WKP or r == g.L:
+            head = f"({r},("
+            literals += [head + s + "))" for s in strings]
+    return literals
+
+
 _ADDRESS_RE = re.compile(r"\((\d+),\((\d*)\)\)")
 
 
@@ -263,16 +282,26 @@ def rule2_partner(digits: tuple[int, ...]) -> tuple[int, ...] | None:
 def _level_rows(C: int, r: int, offset: int) -> Iterator[tuple[Address, list[int]]]:
     """Each level-r vertex in canonical order with its sorted same-level row.
 
-    The bridge partner lies outside the vertex's clique, the C ordinals from
-    ``i - d[-1]`` on, so it goes before or after the clique as a whole.
+    The rule-2 partner comes from x, the vertex's base-C value: with x
+    ending in a run of t digits b preceded by c, x = (prefix*C + c)*C^t +
+    b*(C^t - 1)/(C - 1), and the partner swaps them, (prefix*C + b)*C^t +
+    c*(C^t - 1)/(C - 1).  It lies outside the vertex's clique, the C
+    ordinals from ``i - b`` on, so it goes before or after the clique as a
+    whole.
     """
     for x, d in enumerate(itertools.product(range(C), repeat=r)):
         i = offset + x
-        base = i - d[-1]
-        row = [j for j in range(base, base + C) if j != i]
-        partner = rule2_partner(d)
-        if partner is not None:
-            p = offset + _value(partner, C)
+        b = x % C
+        base = i - b
+        row = [*range(base, i), *range(i + 1, base + C)]
+        y, t, power = x // C, 1, C
+        while t < r and y % C == b:
+            y //= C
+            t += 1
+            power *= C
+        if t < r:
+            y, c = divmod(y, C)
+            p = offset + (y * C + b) * power + c * (power - 1) // (C - 1)
             row.insert(0 if p < base else C - 1, p)
         yield Address(r, d), row
 
@@ -382,20 +411,20 @@ def crossing_edge(g: PyramidGraph, w: str | Iterable[int], w2: str | Iterable[in
 
 def export(g: PyramidGraph, format: str = "json") -> bytes:
     """Serialize a graph to DOT or JSON bytes with deterministic ordering (C <= 10)."""
-    check_printable(g.C)
+    literals = address_literals(g)
     if format == "json":
         payload = {
             "family": g.family,
             "C": g.C,
             "L": g.L,
-            "vertices": [str(a) for a in g.vertices],
+            "vertices": literals,
             "edges": [[i, j] for i, j in g.edge_list()],
         }
         return (json.dumps(payload) + "\n").encode("utf-8")
     if format == "dot":
         lines = [f'graph "{g.family}({g.C},{g.L})" {{']
-        lines.extend(f'  "{a}";' for a in g.vertices)
-        lines.extend(f'  "{g.vertices[i]}" -- "{g.vertices[j]}";' for i, j in g.edge_list())
+        lines.extend(f'  "{a}";' for a in literals)
+        lines.extend(f'  "{literals[i]}" -- "{literals[j]}";' for i, j in g.edge_list())
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ParameterDomainError(f"unknown export format {format!r}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -104,6 +105,16 @@ class TestConstruct:
         assert code == 0
         assert json.loads(out)["is_kpds"] is True
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("k,digest", [
+        (1, "ab7258110893da3966a604ed88daff51c262ae0a9f9612808bb5ae9424c9c285"),
+        (3, "f728127dd583c1dfa9bfea8cba1b4b786358ae73cfa0b09c0fff2ae306bc4ea3"),
+    ])
+    def test_certify_output_is_pinned(self, capsys, k, digest):
+        # The two calls of the certify benchmark workload, WKP(4,7) at n=21,845.
+        code, out = run(capsys, "construct", "--C", "4", "--L", "7", "--k", str(k))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "construct_kpds",

@@ -263,3 +263,18 @@ class TestCertificates:
         assert doc["seed"] == ["(0,(1))"]
         assert doc["radius"] is None and math.isinf(trace.radius)
         assert doc["rounds"][-1] == doc["rounds"][-2]
+
+
+@pytest.mark.parametrize("family,C,L", list(small_graphs()))
+def test_trace_json_rounds_list_every_round(family, C, L):
+    """Each JSON round lists the addresses of ``trace.rounds[i]`` in ordinal order."""
+    g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+    seeds = [[], range(g.n)] + [[v] for v in range(g.n)]
+    outcomes = set()
+    for k in sorted({0, 1, C - 1}):
+        for S in seeds:
+            trace = propagate_fixpoint(g, k, S)
+            outcomes.add(trace.covered)
+            assert trace_to_json(g, trace)["rounds"] == [
+                [str(g.vertices[v]) for v in sorted(r)] for r in trace.rounds]
+    assert outcomes == {True, False}

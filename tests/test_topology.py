@@ -24,7 +24,7 @@ from wkpdom import (
     parse_address,
 )
 from wkpdom.cli import main
-from wkpdom.topology import rule2_partner
+from wkpdom.topology import address_literals, rule2_partner
 
 
 def wkp_count(C, L):
@@ -173,6 +173,19 @@ def test_builders_match_address_lookup(family, C, L):
     assert list(g.vertices) == vertices
     assert g.edge_list() == edges
     assert all(list(row) == sorted(row) for row in g.adjacency)
+
+
+class TestAddressLiterals:
+    @pytest.mark.parametrize("family,C,L", SWEEP + [("wkp", 1, 6), ("wk", 1, 3),
+                                                    ("wkp", 10, 2), ("wk", 10, 3)])
+    def test_literals_are_the_printed_addresses(self, family, C, L):
+        g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+        assert address_literals(g) == [str(a) for a in g.vertices]
+
+    @pytest.mark.parametrize("builder", [build_wk, build_wkp])
+    def test_c_above_10_is_refused(self, builder):
+        with pytest.raises(ParameterDomainError):
+            address_literals(builder(11, 1))
 
 
 class TestOrdinals:
