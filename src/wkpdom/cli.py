@@ -6,14 +6,20 @@ minimum search), ``radius`` (graph propagation radius), ``trace``
 (round-by-round propagation), ``check-paper`` (full reproduction report).
 
 Exit codes: 0 ok, 1 reproduction-report failure or a constructed set that
-fails verification, 2 parameter or parse error, 3 budget exceeded, 4 regime
-violation.
+fails verification, 2 parameter or parse error (an unwritable ``gen
+--output`` path included), 3 budget exceeded, 4 regime violation, 141 when
+the reader of standard output closes it before everything is written (as
+``| head`` does; the shell's status for a process stopped by SIGPIPE).
+Nothing is printed then.
+
+``construct`` and ``trace`` write their JSON as it is encoded, a round at
+a time (``propagation.json_text``), so no whole document is held in
+memory and an early-closing reader cuts the output mid-document.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -27,7 +33,7 @@ from .exact import (
     min_kpds,
     propagation_radius,
 )
-from .propagation import propagate_fixpoint, radius_to_json, trace_to_json
+from .propagation import json_text, propagate_fixpoint, radius_to_json, trace_fields
 from .report import report_to_json_text, run_check_paper
 from .topology import (
     DEFAULT_MAX_VERTICES,
@@ -47,6 +53,7 @@ EXIT_REPORT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_REGIME = 4
+EXIT_PIPE = 141
 
 #: Exit code of each error class the verbs raise (with its subclasses); no
 #: exception is an instance of two of them, so the order does not matter.
@@ -95,11 +102,22 @@ def _pyramid(args: argparse.Namespace) -> PyramidGraph:
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
+    """Write ``payload`` as one JSON line, or with ``--format text`` one ``key: value`` line per key.
+
+    Every value goes through ``json_text``, so a trace is written a round
+    at a time as it is encoded.
+    """
+    write = sys.stdout.write
     if args.format == "text":
         for key, value in payload.items():
-            print(f"{key}: {json.dumps(value)}")
+            write(f"{key}: ")
+            for piece in json_text(value):
+                write(piece)
+            write("\n")
     else:
-        print(json.dumps(payload))
+        for piece in json_text(payload):
+            write(piece)
+        write("\n")
 
 
 def _progress_printer(enabled: bool):
@@ -117,7 +135,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     g = builder(args.C, args.L, max_vertices=_max_vertices(args))
     data = export(g, args.format)
     if args.output:
-        with open(args.output, "wb") as fh:
+        try:
+            fh = open(args.output, "wb")
+        except OSError as exc:
+            raise ParameterDomainError(f"cannot write {args.output}: {exc.strerror}") from None
+        with fh:
             fh.write(data)
     else:
         sys.stdout.buffer.write(data)
@@ -126,8 +148,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     check_printable(args.C)  # before the work whose answer could not be printed
-    # The graph and the trace are freed before the payload, which lists
-    # every round, is encoded.
+    # The graph is freed before the rounds, the bulk of the output, are
+    # encoded and written one at a time.
     _emit(_construct_payload(args), args)
     return EXIT_OK
 
@@ -139,11 +161,11 @@ def _construct_payload(args: argparse.Namespace) -> dict:
     if not trace.covered:
         raise ConstructionError(
             f"construction for (C={args.C}, L={args.L}, k={args.k}) failed verification")
-    doc = trace_to_json(g, trace)
+    fields = trace_fields(g, trace)
     return {"C": args.C, "L": args.L, "k": args.k,
             "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json(),
-            "set": doc["seed"], "size": len(trace.seed), "is_kpds": True,
-            "radius": doc["radius"], "provenance": provenance, "trace": doc}
+            "set": fields["seed"], "size": len(trace.seed), "is_kpds": True,
+            "radius": fields["radius"], "provenance": provenance, "trace": fields}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -178,7 +200,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     g = _pyramid(args)
     seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
     trace = propagate_fixpoint(g, args.k, seed)
-    _emit(trace_to_json(g, trace), args)
+    _emit(trace_fields(g, trace), args)
     return EXIT_OK
 
 
@@ -268,10 +290,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return status
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    except BrokenPipeError:
+        # What stdout still buffers can never be delivered; pointing stdout
+        # at devnull keeps the interpreter's last flush from raising again.
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

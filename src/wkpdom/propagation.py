@@ -36,6 +36,13 @@ built.  ``MonitorTrace`` is the one result of a run: whether it covers,
 its radius, and the round of every vertex; ``is_kpds`` and
 ``radius_of_set`` return its ``covered`` and ``radius``.
 
+A trace has one JSON encoder, ``trace_fields`` written out by
+``json_text``.  Every address literal is quoted once, and each round's
+list is made from the round before only when the text before it has been
+taken, so ``construct`` and ``trace`` write a trace of any length a round
+at a time, never holding its rounds as lists or its document as one
+string.  ``trace_to_json`` reads the same text back.
+
 An intentionally naive mirror of these semantics lives in ``reference``
 and is compared against this engine by the test suite, as is the
 bit-parallel kernel of the exhaustive search in ``exact``.
@@ -44,9 +51,10 @@ bit-parallel kernel of the exhaustive search in ``exact``.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -216,24 +224,25 @@ def radius_of_set(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
     return propagate_fixpoint(g, k, S).radius
 
 
-def _round_lists(literals: list[str], trace: MonitorTrace) -> list[list[str]]:
-    """Addresses monitored by each round, in ordinal order.
+def _round_texts(quoted: list[str], trace: MonitorTrace) -> Iterator[str]:
+    """JSON text of the list of rounds, made one round at a time as it is read.
 
-    The vertices first monitored in round i are merged into the sorted
-    list of round i-1 (a sorted list plus a sorted run, which ``sort``
-    merges in linear time), so every round costs its own length and every
-    list holds the same str objects from ``literals``.
+    Each round is the list of the addresses it monitors, in ordinal order.
+    The vertices first monitored in round i are merged into the sorted list
+    of round i-1 (a sorted list plus a sorted run, which ``sort`` merges in
+    linear time), so every round costs its own length.
     """
     fresh = [[] for _ in range(trace.round_count)]
     for v, s in enumerate(trace.first_step):
         if s != NEVER:
             fresh[s].append(v)
-    monitored, rounds = [], []
-    for new in fresh:
+    monitored = []
+    yield "["
+    for i, new in enumerate(fresh):
         monitored += new
         monitored.sort()
-        rounds.append(list(map(literals.__getitem__, monitored)))
-    return rounds
+        yield (", [" if i else "[") + ", ".join(map(quoted.__getitem__, monitored)) + "]"
+    yield "]"
 
 
 def radius_to_json(trace: MonitorTrace) -> int | None:
@@ -241,12 +250,43 @@ def radius_to_json(trace: MonitorTrace) -> int | None:
     return trace.round_count if trace.covered else None
 
 
-def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
-    """Trace as {k, seed, rounds, radius}; radius is null for a stuck run."""
+def trace_fields(g: PyramidGraph, trace: MonitorTrace) -> dict:
+    """Trace as {k, seed, rounds, radius} for ``json_text``; radius is null for a stuck run.
+
+    ``rounds`` is a one-shot iterator of JSON text, one piece per round
+    (see ``_round_texts``), so the rounds are never held as lists.  Every
+    literal is quoted once: literals hold only digits, commas and
+    parentheses, so quoting is their JSON encoding.
+    """
     literals = address_literals(g)
     return {
         "k": trace.k,
         "seed": [literals[v] for v in sorted(trace.seed)],
-        "rounds": _round_lists(literals, trace),
+        "rounds": _round_texts([f'"{s}"' for s in literals], trace),
         "radius": radius_to_json(trace),
     }
+
+
+def json_text(value) -> Iterator[str]:
+    """The text of ``json.dumps(value)`` in pieces.
+
+    A dict (with str keys) is written key by key, and an iterator is taken
+    to yield pieces of JSON text, which pass through as they come; so a
+    document holding ``trace_fields`` is written a round at a time and
+    never joined into one string.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from json_text(item)
+        yield "}"
+    elif isinstance(value, Iterator):
+        yield from value
+    else:
+        yield json.dumps(value)
+
+
+def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
+    """Trace as {k, seed, rounds, radius}: ``trace_fields`` read back from its JSON text."""
+    return json.loads("".join(json_text(trace_fields(g, trace))))

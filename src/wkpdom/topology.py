@@ -279,31 +279,60 @@ def rule2_partner(digits: tuple[int, ...]) -> tuple[int, ...] | None:
     return digits[: r - 1 - t] + (last,) + (c,) * t
 
 
-def _level_rows(C: int, r: int, offset: int) -> Iterator[tuple[Address, list[int]]]:
-    """Each level-r vertex in canonical order with its sorted same-level row.
+def _bridge_deltas(C: int, L: int) -> Iterator[list[int]]:
+    """For r = 1..L, the rule-2 bridge of every level-r string as one list.
 
-    The rule-2 partner comes from x, the vertex's base-C value: with x
-    ending in a run of t digits b preceded by c, x = (prefix*C + c)*C^t +
-    b*(C^t - 1)/(C - 1), and the partner swaps them, (prefix*C + b)*C^t +
-    c*(C^t - 1)/(C - 1).  It lies outside the vertex's clique, the C
-    ordinals from ``i - b`` on, so it goes before or after the clique as a
-    whole.
+    Entry x is partner - x for the string of base-C value x, or 0 when it
+    has no bridge.  WK(C, r) is C copies of WK(C, r-1): copy a (the strings
+    a d) keeps the bridges of d, which move with it, so the level r-1 list
+    repeated C times holds them; and its extreme string a b^(r-1), b != a,
+    is bridged to b a^(r-1).  With s = C^(r-1) and e the value of 1^(r-1),
+    those two strings are a*s + b*e and b*s + a*e.
     """
-    for x, d in enumerate(itertools.product(range(C), repeat=r)):
-        i = offset + x
-        b = x % C
-        base = i - b
-        row = [*range(base, i), *range(i + 1, base + C)]
-        y, t, power = x // C, 1, C
-        while t < r and y % C == b:
-            y //= C
-            t += 1
-            power *= C
-        if t < r:
-            y, c = divmod(y, C)
-            p = offset + (y * C + b) * power + c * (power - 1) // (C - 1)
-            row.insert(0 if p < base else C - 1, p)
-        yield Address(r, d), row
+    deltas, s, e = [0] * C, C, 1
+    yield deltas
+    for _ in range(2, L + 1):
+        deltas = deltas * C
+        for a, b in itertools.permutations(range(C), 2):
+            deltas[a * s + b * e] = (b - a) * (s - e)
+        s, e = s * C, e * C + 1
+        yield deltas
+
+
+def _runs(ordinals: range, C: int) -> Iterator[tuple[int, ...]]:
+    """``ordinals`` cut into consecutive tuples of C."""
+    return zip(*[iter(ordinals)] * C)
+
+
+def _level_rows(C: int, deltas: list[int], offset: int,
+                heads: Iterable[tuple[int, ...]],
+                tails: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The sorted rows of one level, a rule-1 clique at a time.
+
+    The level's vertices are ``offset + x`` with ``deltas[x]`` from
+    ``_bridge_deltas``; each run of C of them is a clique.  A clique's row
+    starts with its next ``heads`` entry (its parent in WKP), and a vertex's
+    row ends with its next ``tails`` entry (its children).  The bridge
+    partner lies outside the vertex's clique, so it goes before the clique
+    when it is smaller and after it otherwise.
+    """
+    rows = []
+    tails = iter(tails)
+    for head, clique in zip(heads, _runs(range(offset, offset + len(deltas)), C)):
+        for j, i in enumerate(clique):
+            same = clique[:j] + clique[j + 1:]
+            d = deltas[i - offset]
+            if d < 0:
+                same = (i + d,) + same
+            elif d:
+                same += (i + d,)
+            rows.append(head + same + next(tails))
+    return rows
+
+
+def _level_vertices(C: int, r: int) -> Iterator[Address]:
+    """The level-r addresses in canonical order."""
+    return map(Address, itertools.repeat(r), itertools.product(range(C), repeat=r))
 
 
 def build_wk(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
@@ -313,8 +342,9 @@ def build_wk(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Pyr
     with pyramid vertices; the canonical order is lexicographic on digits.
     """
     _check_parameters(C, L, C ** max(L, 0), max_vertices)
-    vertices, rows = zip(*_level_rows(C, L, 0))
-    return PyramidGraph(WK, C, L, vertices, map(tuple, rows))
+    *_, deltas = _bridge_deltas(C, L)
+    rows = _level_rows(C, deltas, 0, itertools.repeat(()), itertools.repeat(()))
+    return PyramidGraph(WK, C, L, _level_vertices(C, L), rows)
 
 
 def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
@@ -322,11 +352,11 @@ def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Py
     _check_parameters(C, L, (C ** (L + 1) - 1) // (C - 1) if C > 1 else L + 1, max_vertices)
     offsets = _level_offsets(WKP, C, L)
     vertices, rows = [APEX], [tuple(range(1, C + 1))]
-    for r in range(1, L + 1):
-        for x, (a, row) in enumerate(_level_rows(C, r, offsets[r])):
-            children = range(offsets[r + 1] + x * C, offsets[r + 1] + x * C + C) if r < L else ()
-            vertices.append(a)
-            rows.append((offsets[r - 1] + x // C, *row, *children))
+    for r, deltas in enumerate(_bridge_deltas(C, L), 1):
+        vertices += _level_vertices(C, r)
+        parents = zip(range(offsets[r - 1], offsets[r]))  # (parent,) of each clique
+        children = _runs(range(offsets[r + 1], offsets[r + 2]), C) if r < L else itertools.repeat(())
+        rows += _level_rows(C, deltas, offsets[r], parents, children)
     return PyramidGraph(WKP, C, L, vertices, rows)
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,16 @@ class TestGen:
     def test_bad_parameters_exit_2(self, capsys):
         code, _ = run(capsys, "gen", "--C", "0", "--L", "2")
         assert code == 2
+
+    def test_output_to_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g.json"
+        code = main(["gen", "--C", "3", "--L", "2", "-o", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(target) in captured.err
+        assert not target.exists()
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--C", "11", "--L", "1"],
@@ -116,6 +129,39 @@ class TestConstruct:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("k,digest", [
+        (1, "dc2cfb19ff97154a0834bc388d9b3824565452bf354900fe455dc6797efe25a6"),
+        (3, "253b47855976600ae6c2577e51b90e57e99c94791378c5522a3ddf28a953c957"),
+    ])
+    def test_certify_text_output_is_pinned(self, capsys, k, digest):
+        # The same two calls in the one-line-per-key form.
+        code, out = run(capsys, "construct", "--C", "4", "--L", "7", "--k", str(k),
+                        "--format", "text")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_output_is_written_round_by_round(self, monkeypatch):
+        # No write holds more than one round list and its separator, so the
+        # whole document is never one string.
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        code = main(["construct", "--C", "4", "--L", "5", "--k", "3"])
+        assert code == 0
+        doc = json.loads("".join(writes))
+        assert doc["radius"] == len(doc["trace"]["rounds"]) > 1
+        longest = max(len(json.dumps(r)) for r in doc["trace"]["rounds"])
+        assert len(writes) > 1
+        assert max(map(len, writes)) <= longest + len(", ")
+
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "construct_kpds",
                             lambda C, L, k: ({Address(2, (0, 0))}, "level2"))
@@ -125,6 +171,39 @@ class TestConstruct:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "failed verification" in captured.err
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_ends_without_traceback(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["construct", "--C", "4", "--L", "5", "--k", "3"])
+        assert code == cli.EXIT_PIPE
+        # What is left to print, and the interpreter's last flush, go nowhere.
+        print("discarded")
+        sys.stdout.flush()
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_early_exits_quietly(self):
+        # A process whose reader is gone before the certificate is written,
+        # like `wkpdom construct ... | head -c 100`.
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wkpdom.cli", "construct", "--C", "4", "--L", "5", "--k", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE
+        assert err == b""
 
 
 class TestVerify:

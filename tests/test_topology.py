@@ -41,6 +41,8 @@ def sweep_cases(limit=2000):
 
 
 SWEEP = list(sweep_cases())
+#: Alphabets above the sweep's C <= 6, for the builders' bridge arithmetic.
+LARGE_C = [("wkp", 7, 3), ("wkp", 10, 2), ("wk", 8, 3), ("wk", 10, 3)]
 
 
 def scan_crossing_edges(g, w, w2):
@@ -143,7 +145,7 @@ class TestBuilders:
             build_wkp(10, 2, max_vertices=110)
 
 
-@pytest.mark.parametrize("family,C,L", SWEEP)
+@pytest.mark.parametrize("family,C,L", SWEEP + LARGE_C)
 def test_structural_invariants(family, C, L):
     g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
     if family == "wk":
@@ -166,7 +168,7 @@ def test_structural_invariants(family, C, L):
         assert g.degree(i) == expected, f"{a} in {family}({C},{L})"
 
 
-@pytest.mark.parametrize("family,C,L", SWEEP)
+@pytest.mark.parametrize("family,C,L", SWEEP + LARGE_C)
 def test_builders_match_address_lookup(family, C, L):
     g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
     vertices, edges = address_lookup_graph(family, C, L)
