@@ -15,6 +15,7 @@ no randomness.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -325,23 +326,24 @@ def _check_structure(family: str, C: int, L: int) -> str | None:
             return f"WKP({C},{L}): bad vertex count {g.n}"
     elif g.n != C ** L:
         return f"WK({C},{L}): bad vertex count {g.n}"
-    for i, a in enumerate(g.vertices):
-        d = g.degree(i)
-        if family == WK:
-            want = C - 1 if i in extremes else C
-        elif a.is_apex:
-            want = C
-        elif a.level < L:
-            want = 2 * C if i in extremes else 2 * C + 1
-        else:
-            want = C if i in extremes else C + 1
-        if d != want:
-            return f"{family}({C},{L}): {a} has degree {d}, expected {want}"
-        if i in g.adjacency[i]:
-            return f"{family}({C},{L}): self-loop at {a}"
-        for j in g.adjacency[i]:
-            if i not in g.adjacency[j]:
-                return f"{family}({C},{L}): asymmetric edge {i},{j}"
+    for r in range(L + 1):
+        for i in g.level_ordinals(r):
+            d = g.degree(i)
+            if family == WK:
+                want = C - 1 if i in extremes else C
+            elif r == 0:
+                want = C
+            elif r < L:
+                want = 2 * C if i in extremes else 2 * C + 1
+            else:
+                want = C if i in extremes else C + 1
+            if d != want:
+                return f"{family}({C},{L}): {g.address(i)} has degree {d}, expected {want}"
+            if i in g.adjacency[i]:
+                return f"{family}({C},{L}): self-loop at {g.address(i)}"
+            for j in g.adjacency[i]:
+                if i not in g.adjacency[j]:
+                    return f"{family}({C},{L}): asymmetric edge {i},{j}"
     return None
 
 
@@ -361,7 +363,7 @@ def _prop_ham_cycles() -> tuple[bool, str]:
         for m in (1, 2, 3):
             g = build_wk(C, m)
             cycle = ham_cycle_wk(C, m)
-            if sorted(cycle) != sorted(a.digits for a in g.vertices):
+            if sorted(cycle) != list(itertools.product(range(C), repeat=m)):
                 return False, f"WK({C},{m}): cycle is not a permutation of the vertices"
             for t, w in enumerate(cycle):
                 nxt = cycle[(t + 1) % len(cycle)]

@@ -27,6 +27,7 @@ vertex and edge lists that ``export`` writes for WK(C, L) or WKP(C, L).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -59,10 +60,6 @@ class Address(NamedTuple):
 
     level: int
     digits: tuple[int, ...] = ()
-
-    @property
-    def is_apex(self) -> bool:
-        return self.level == 0
 
     def __str__(self) -> str:
         if self.level == 0:
@@ -103,13 +100,13 @@ def check_k(k: int) -> None:
 def address_list(g: PyramidGraph, ordinals: Iterable[int]) -> list[str]:
     """The addresses of ``ordinals`` as literals, in ordinal order (C <= 10)."""
     check_printable(g.C)
-    return [str(g.vertices[v]) for v in sorted(ordinals)]
+    return [str(g.address(v)) for v in sorted(ordinals)]
 
 
 def address_literals(g: PyramidGraph) -> list[str]:
     """The literal of every vertex, indexed by ordinal (C <= 10).
 
-    Equal to ``[str(a) for a in g.vertices]``, but each level's digit
+    Equal to ``[str(g.address(i)) for i in range(g.n)]``, but each level's digit
     strings are grown from the level above by appending one digit, so a
     literal costs one string concatenation instead of a format call.
     """
@@ -182,28 +179,26 @@ class EdgeRef(NamedTuple):
 
 
 class PyramidGraph:
-    """Immutable adjacency structure for a WK or WKP graph, built from its rows.
+    """Immutable adjacency structure for a WK or WKP graph: its rows and nothing else.
 
+    ``adjacency[i]`` is the sorted tuple of neighbor ordinals of ordinal i.
     Vertex (r, d) has ordinal ``offsets[r] + value(d)``, the digits read in
-    base C (see the module docstring); ``vertices[i]`` is the address of
-    ordinal i and ``adjacency[i]`` its sorted tuple of neighbor ordinals.
-    Nothing else is stored, so a graph takes O(n + |E|) space.
+    base C (see the module docstring), so ``ordinal`` and its inverse
+    ``address`` are arithmetic and a graph takes O(n + |E|) space.
     """
 
-    __slots__ = ("family", "C", "L", "vertices", "adjacency", "offsets")
+    __slots__ = ("family", "C", "L", "adjacency", "offsets")
 
-    def __init__(self, family: str, C: int, L: int,
-                 vertices: Iterable[Address], adjacency: Iterable[tuple[int, ...]]):
+    def __init__(self, family: str, C: int, L: int, adjacency: Iterable[tuple[int, ...]]):
         self.family = family
         self.C = C
         self.L = L
-        self.vertices = tuple(vertices)
         self.adjacency = tuple(adjacency)
         self.offsets = _level_offsets(family, C, L)
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.adjacency)
 
     @property
     def edge_count(self) -> int:
@@ -216,6 +211,14 @@ class PyramidGraph:
                 and len(digits) == r and all(0 <= d < self.C for d in digits)):
             raise ParameterDomainError(f"{address} is not a vertex of {self!r}")
         return self.offsets[r] + _value(digits, self.C)
+
+    def address(self, i: int) -> Address:
+        """Inverse of ``ordinal``; ParameterDomainError for an ordinal outside range(n)."""
+        if not 0 <= i < self.n:
+            raise ParameterDomainError(f"{i} is not a vertex ordinal of {self!r}")
+        r = bisect.bisect_right(self.offsets, i) - 1
+        x = i - self.offsets[r]
+        return Address(r, tuple(x // self.C ** p % self.C for p in reversed(range(r))))
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -233,8 +236,8 @@ class PyramidGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PyramidGraph):
             return NotImplemented
-        return (self.family, self.C, self.L, self.vertices, self.adjacency) == \
-               (other.family, other.C, other.L, other.vertices, other.adjacency)
+        return (self.family, self.C, self.L, self.adjacency) == \
+               (other.family, other.C, other.L, other.adjacency)
 
     def __hash__(self) -> int:
         return hash((self.family, self.C, self.L))
@@ -254,11 +257,20 @@ def _value(digits: tuple[int, ...], C: int) -> int:
     return functools.reduce(lambda x, d: x * C + d, digits, 0)
 
 
-def _check_parameters(C: int, L: int, count: int, max_vertices: int) -> None:
+def _check_parameters(family: str, C: int, L: int, max_vertices: int) -> None:
+    """Refuse bad dimensions and a graph of more than ``max_vertices`` vertices.
+
+    For C >= 2 a graph has at least 2^L vertices, so an L beyond the cap's
+    bit length is refused before any power of C is computed.
+    """
     check_dimensions(C, L)
-    if count > max_vertices:
+    if C == 1:
+        over = (L + 1 if family == WKP else 1) > max_vertices
+    else:
+        over = L > max_vertices.bit_length() or _level_offsets(family, C, L)[-1] > max_vertices
+    if over:
         raise ParameterDomainError(
-            f"graph would have {count} vertices, above the cap of {max_vertices}"
+            f"{family}({C},{L}) has more vertices than the cap of {max_vertices}"
         )
 
 
@@ -330,34 +342,28 @@ def _level_rows(C: int, deltas: list[int], offset: int,
     return rows
 
 
-def _level_vertices(C: int, r: int) -> Iterator[Address]:
-    """The level-r addresses in canonical order."""
-    return map(Address, itertools.repeat(r), itertools.product(range(C), repeat=r))
-
-
 def build_wk(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
     """Build the WK-recursive mesh WK(C, L) on C**L vertices.
 
     Vertices carry level L in their address so they share the Address type
     with pyramid vertices; the canonical order is lexicographic on digits.
     """
-    _check_parameters(C, L, C ** max(L, 0), max_vertices)
+    _check_parameters(WK, C, L, max_vertices)
     *_, deltas = _bridge_deltas(C, L)
     rows = _level_rows(C, deltas, 0, itertools.repeat(()), itertools.repeat(()))
-    return PyramidGraph(WK, C, L, _level_vertices(C, L), rows)
+    return PyramidGraph(WK, C, L, rows)
 
 
 def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
     """Build the WK-pyramid WKP(C, L) on 1 + C + C^2 + ... + C^L vertices."""
-    _check_parameters(C, L, (C ** (L + 1) - 1) // (C - 1) if C > 1 else L + 1, max_vertices)
+    _check_parameters(WKP, C, L, max_vertices)
     offsets = _level_offsets(WKP, C, L)
-    vertices, rows = [APEX], [tuple(range(1, C + 1))]
+    rows = [tuple(range(1, C + 1))]
     for r, deltas in enumerate(_bridge_deltas(C, L), 1):
-        vertices += _level_vertices(C, r)
         parents = zip(range(offsets[r - 1], offsets[r]))  # (parent,) of each clique
         children = _runs(range(offsets[r + 1], offsets[r + 2]), C) if r < L else itertools.repeat(())
         rows += _level_rows(C, deltas, offsets[r], parents, children)
-    return PyramidGraph(WKP, C, L, vertices, rows)
+    return PyramidGraph(WKP, C, L, rows)
 
 
 def extreme_vertices(g: PyramidGraph) -> set[Address]:
@@ -469,20 +475,20 @@ def graph_from_json(data: bytes | str) -> PyramidGraph:
     """
     try:
         doc = json.loads(data)
-        family = doc["family"]
-        C = int(doc["C"])
-        L = int(doc["L"])
-        vertices = [parse_address(s, C) for s in doc["vertices"]]
+        family, C, L, listed = doc["family"], doc["C"], doc["L"], doc["vertices"]
         builder = {WK: build_wk, WKP: build_wkp}.get(family)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from None
     if builder is None:
         raise ParameterDomainError(f"unknown graph family {family!r}")
+    if type(C) is not int or type(L) is not int:
+        raise ParameterDomainError(f"graph JSON: C and L must be integers, got {C!r} and {L!r}")
     # A canonical list ends at level L, which bounds L by the input's size
-    # before the vertex count, a power of C, is computed.
-    if not vertices or vertices[-1].level != L:
+    # before the graph is built: WK(1, L) has one vertex for every L.
+    last = listed[-1] if isinstance(listed, list) and listed else None
+    if not isinstance(last, str) or parse_address(last, C).level != L:
         raise ParameterDomainError(f"graph JSON does not list level L={L} last")
-    g = builder(C, L, max_vertices=len(vertices))
-    if list(g.vertices) != vertices or list(map(list, g.edge_list())) != doc["edges"]:
+    g = builder(C, L, max_vertices=len(listed))
+    if listed != address_literals(g) or list(map(list, g.edge_list())) != doc["edges"]:
         raise ParameterDomainError(f"graph JSON does not list the vertices and edges of {g!r}")
     return g

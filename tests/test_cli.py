@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,33 @@ class TestCheckPaper:
         assert captured.out == ""
         assert captured.err.startswith("error: budget of 1 checks exhausted")
         assert captured.err.count("\n") == 1
+
+
+class TestVertexCap:
+    @pytest.mark.parametrize("L", [10 ** 5, 10 ** 9])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "wk", "--C", "2"],
+        ["gen", "--family", "wkp", "--C", "2"],
+        ["construct", "--C", "3", "--k", "1"],
+        ["exact", "--C", "3", "--k", "1"],
+        ["radius", "--C", "2", "--k", "1"],
+        ["verify", "--C", "3", "--k", "1", "--set", "(0,(1))"],
+        ["trace", "--C", "3", "--k", "1", "--set", "(0,(1))"],
+    ], ids=lambda argv: "-".join(argv[:2] if argv[0] != "gen" else argv[:3]))
+    def test_huge_level_is_one_error_line(self, capsys, monkeypatch, argv, L):
+        # C^L has far more than 4300 digits; it must be neither printed nor computed.
+        monkeypatch.delenv("WKPDOM_MAX_VERTICES", raising=False)
+        start = time.perf_counter()
+        code = main(argv + ["--L", str(L)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert f"({argv[argv.index('--C') + 1]},{L})" in captured.err
+        assert "cap of 100000" in captured.err
+        assert elapsed < 0.5
 
 
 class TestEnvOverrides:

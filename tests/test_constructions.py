@@ -142,7 +142,7 @@ class TestHamiltonianCycles:
         g = build_wk(C, m)
         order = ham_cycle_wk(C, m)
         assert len(order) == C ** m
-        assert sorted(order) == sorted(a.digits for a in g.vertices)
+        assert sorted(order) == sorted(g.address(i).digits for i in range(g.n))
         for t, w in enumerate(order):
             succ = order[(t + 1) % len(order)]
             assert g.has_edge(g.ordinal(Address(m, w)), g.ordinal(Address(m, succ)))
@@ -200,8 +200,9 @@ class TestGeneralConstruction:
                 attach = []
                 for edge in (edge_in, edge_out):
                     for v in edge:
-                        if g.vertices[v].digits[: L - 2] == block:
-                            attach.append(g.vertices[v].digits[-1])
+                        digits = g.address(v).digits
+                        if digits[: L - 2] == block:
+                            attach.append(digits[-1])
                 assert len(attach) == 2 and attach[0] != attach[1]
 
     def test_wrong_regime(self):

@@ -28,7 +28,7 @@ class TestMinKpds:
         result = min_kpds(wkp32, 1)
         assert result.gamma == 2
         assert result.exhausted
-        first = sorted(str(wkp32.vertices[v]) for v in result.witnesses[0])
+        first = sorted(str(wkp32.address(v)) for v in result.witnesses[0])
         assert first == ["(1,(0))", "(1,(1))"]
 
     def test_two_level_binary(self):

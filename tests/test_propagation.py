@@ -96,7 +96,7 @@ class TestRound:
     def test_level2_seed_first_round(self, wkp52):
         S = ordinals(wkp52, construct_level2(5, 1))
         rounds = propagate_fixpoint(wkp52, 1, S).rounds
-        added = {str(wkp52.vertices[v]) for v in rounds[1] - rounds[0]}
+        added = {str(wkp52.address(v)) for v in rounds[1] - rounds[0]}
         assert added == {"(2,(01))", "(2,(02))", "(2,(03))", "(2,(04))"}
 
     def test_full_set_is_fixed(self, wkp32):
@@ -128,7 +128,7 @@ class TestFixpoint:
     def test_first_step_on_a_path(self):
         g = build_wkp(1, 4)  # path on 5 vertices, apex at one end
         trace = propagate_fixpoint(g, 1, [g.ordinal(APEX)])
-        assert [trace.first_step[g.ordinal(a)] for a in g.vertices] == [0, 0, 1, 2, 3]
+        assert list(trace.first_step) == [0, 0, 1, 2, 3]
 
     @pytest.mark.parametrize("g", GRAPHS, ids=["wkp32", "wkp23"])
     @given(seed=seed_sets, k=ks)
@@ -276,5 +276,5 @@ def test_trace_json_rounds_list_every_round(family, C, L):
             trace = propagate_fixpoint(g, k, S)
             outcomes.add(trace.covered)
             assert trace_to_json(g, trace)["rounds"] == [
-                [str(g.vertices[v]) for v in sorted(r)] for r in trace.rounds]
+                [str(g.address(v)) for v in sorted(r)] for r in trace.rounds]
     assert outcomes == {True, False}
