@@ -131,18 +131,19 @@ def _progress_printer(enabled: bool):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    check_printable(args.C)  # before the build whose addresses could not be printed
     builder = build_wk if args.family == "wk" else build_wkp
     g = builder(args.C, args.L, max_vertices=_max_vertices(args))
-    data = export(g, args.format)
+    text = export(g, args.format)
     if args.output:
         try:
-            fh = open(args.output, "wb")
+            fh = open(args.output, "w")
         except OSError as exc:
             raise ParameterDomainError(f"cannot write {args.output}: {exc.strerror}") from None
         with fh:
-            fh.write(data)
+            fh.write(text)
     else:
-        sys.stdout.buffer.write(data)
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -111,9 +111,9 @@ def construct_trivial(C: int, L: int, k: int) -> set[Address]:
 
 
 def construct_level2(C: int, k: int) -> set[Address]:
-    """The C-k level-1 vertices {(1,(i)): k <= i <= C-1}, a k-PDS of WKP(C, 2)."""
+    """The C-k level-1 vertices (i), k <= i <= C-1, a k-PDS of WKP(C, 2)."""
     _require(C, 2, k, RegimeTag.LEVEL2, "construct_level2")
-    return {Address(1, (i,)) for i in range(k, C)}
+    return {(i,) for i in range(k, C)}
 
 
 def _ham_path(C: int, m: int, ends: list[int]) -> list[tuple[int, ...]]:
@@ -180,10 +180,10 @@ def construct_general(C: int, L: int, k: int) -> set[Address]:
                 f"block {block}: incoming and outgoing bridges attach to the same "
                 f"C-clique {clique_in}; the cyclic block order is unusable"
             )
-        chosen.add(Address(L - 1, block + (clique_out,)))
+        chosen.add(block + (clique_out,))
         spare = [c for c in range(C) if c not in (clique_in, clique_out)]
         for c in spare[: C - k - 2]:
-            chosen.add(Address(L, block + (c, 1 if c == 0 else 0)))
+            chosen.add(block + (c, 1 if c == 0 else 0))
     expected = gamma_formula(C, L, k).value
     if len(chosen) != expected:
         raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")
@@ -199,13 +199,13 @@ def construct_kc1(C: int, L: int) -> set[Address]:
     _require(C, L, C - 1, RegimeTag.K_EQ_C_MINUS_1_UPPER, "construct_kc1")
     m, rem = divmod(L, 3)
     if rem == 0:
-        chosen = {Address(3 * i - 1, (0,) * (3 * i - 1)) for i in range(1, m + 1)}
+        chosen = {(0,) * (3 * i - 1) for i in range(1, m + 1)}
         chosen.add(APEX)
     elif rem == 1:
-        chosen = {Address(3 * i, (0,) * (3 * i)) for i in range(1, m + 1)}
-        chosen.add(Address(1, (0,)))
+        chosen = {(0,) * (3 * i) for i in range(1, m + 1)}
+        chosen.add((0,))
     else:
-        chosen = {Address(3 * i - 2, (0,) * (3 * i - 2)) for i in range(1, m + 2)}
+        chosen = {(0,) * (3 * i - 2) for i in range(1, m + 2)}
     expected = gamma_formula(C, L, C - 1).value
     if len(chosen) != expected:
         raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")

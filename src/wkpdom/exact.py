@@ -219,15 +219,14 @@ def propagation_radius(g: PyramidGraph, k: int, budget: SearchBudget | None = No
 
 
 def verify_lower_bound(g: PyramidGraph, k: int, bound: int,
-                       budget: SearchBudget | None = None, *,
-                       progress: ProgressFn | None = None) -> bool:
+                       budget: SearchBudget | None = None) -> bool:
     """True iff no set of size < bound is a k-PDS, by exhaustive enumeration.
 
     This is the empirical stand-in for the closed formulas' lower-bound
     arguments; bound=1 is vacuously true.
     """
     sizes = range(1, min(bound, g.n + 1))
-    return next(_covering_sets(g, k, sizes, budget, progress), None) is None
+    return next(_covering_sets(g, k, sizes, budget, None), None) is None
 
 
 def level1_intersection_check(g: PyramidGraph, k: int,
@@ -260,15 +259,3 @@ def exact_result_to_json(g: PyramidGraph, k: int, result: ExactResult) -> dict:
         "exhausted": result.exhausted,
         "checks_performed": result.checks_performed,
     }
-
-
-__all__ = [
-    "SearchBudget",
-    "BudgetExceededError",
-    "ExactResult",
-    "min_kpds",
-    "propagation_radius",
-    "verify_lower_bound",
-    "level1_intersection_check",
-    "exact_result_to_json",
-]

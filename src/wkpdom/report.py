@@ -34,10 +34,10 @@ from .topology import (
     APEX,
     WK,
     WKP,
-    Address,
     build_wk,
     build_wkp,
     extreme_vertices,
+    format_address,
 )
 
 MATCH = "match"
@@ -338,9 +338,9 @@ def _check_structure(family: str, C: int, L: int) -> str | None:
             else:
                 want = C if i in extremes else C + 1
             if d != want:
-                return f"{family}({C},{L}): {g.address(i)} has degree {d}, expected {want}"
+                return f"{family}({C},{L}): {format_address(g.address(i))} has degree {d}, expected {want}"
             if i in g.adjacency[i]:
-                return f"{family}({C},{L}): self-loop at {g.address(i)}"
+                return f"{family}({C},{L}): self-loop at {format_address(g.address(i))}"
             for j in g.adjacency[i]:
                 if i not in g.adjacency[j]:
                     return f"{family}({C},{L}): asymmetric edge {i},{j}"
@@ -367,7 +367,7 @@ def _prop_ham_cycles() -> tuple[bool, str]:
                 return False, f"WK({C},{m}): cycle is not a permutation of the vertices"
             for t, w in enumerate(cycle):
                 nxt = cycle[(t + 1) % len(cycle)]
-                if not g.has_edge(g.ordinal(Address(m, w)), g.ordinal(Address(m, nxt))):
+                if not g.has_edge(g.ordinal(w), g.ordinal(nxt)):
                     return False, f"WK({C},{m}): {w} and {nxt} are not adjacent"
             count += 1
     return True, f"{count} cycles valid"

@@ -12,16 +12,22 @@ Both families address vertices with digit strings over [C]_0 = {0, ..., C-1}:
 
 * A WK-pyramid ``WKP(C, L)`` stacks levels 1..L, level r inducing WK(C, r).
   Each level-r vertex has C children at level r+1 (append one digit) and a
-  parent at level r-1 (drop the last digit); a single apex above level 1 is
-  adjacent to all C level-1 vertices.
+  parent at level r-1 (drop the last digit); a single apex above level 1,
+  the empty string, is adjacent to all C level-1 vertices.
+
+A vertex is its digit string, a tuple of ints with the most significant
+digit a_r first, so its level r is the tuple's length and tuple comparison
+is lexicographic in display order.  Its literal ``(r,(a_r...a_1))`` (the
+apex is written ``(0,(1))``) writes that length out; ``format_address`` and
+``parse_address`` convert between the two.
 
 Graphs are immutable once built and use a canonical vertex order (ascending
 level, then lexicographic digit strings), so ordinals, propagation traces,
 and search witnesses are reproducible across runs.  Ordinals are arithmetic:
 with offset(r) the number of vertices on the levels above r
-(1 + C + ... + C^(r-1) in WKP, 0 in WK), vertex (r, a_r ... a_1) has
-ordinal offset(r) + value(a_r ... a_1), the digits read in base C; the apex
-is ordinal 0.  ``graph_from_json`` accepts only canonical documents: the
+(1 + C + ... + C^(r-1) in WKP, 0 in WK), vertex a_r ... a_1 has ordinal
+offset(r) + value(a_r ... a_1), the digits read in base C; the apex is
+ordinal 0.  ``graph_from_json`` accepts only canonical documents: the
 vertex and edge lists that ``export`` writes for WK(C, L) or WKP(C, L).
 """
 
@@ -32,7 +38,7 @@ import functools
 import itertools
 import json
 import re
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 WK = "WK"
 WKP = "WKP"
@@ -49,25 +55,10 @@ class AddressParseError(ParameterDomainError):
     """An address literal does not match the display grammar."""
 
 
-class Address(NamedTuple):
-    """Vertex identity: a level and the digit string a_r ... a_1 at that level.
+#: A vertex: its digit string a_r ... a_1, most significant digit first.
+Address = tuple[int, ...]
 
-    ``digits[0]`` is the most significant digit a_r and ``digits[-1]`` is a_1,
-    so tuple comparison is lexicographic in display order.  The apex sits at
-    level 0 with an empty digit tuple and renders as ``(0,(1))``.  Digit
-    strings render one character per digit.
-    """
-
-    level: int
-    digits: tuple[int, ...] = ()
-
-    def __str__(self) -> str:
-        if self.level == 0:
-            return "(0,(1))"
-        return "({},({}))".format(self.level, "".join(map(str, self.digits)))
-
-
-APEX = Address(0, ())
+APEX: Address = ()
 
 
 def check_printable(C: int) -> None:
@@ -100,36 +91,48 @@ def check_k(k: int) -> None:
 def address_list(g: PyramidGraph, ordinals: Iterable[int]) -> list[str]:
     """The addresses of ``ordinals`` as literals, in ordinal order (C <= 10)."""
     check_printable(g.C)
-    return [str(g.address(v)) for v in sorted(ordinals)]
+    return [format_address(g.address(v)) for v in sorted(ordinals)]
 
 
 def address_literals(g: PyramidGraph) -> list[str]:
     """The literal of every vertex, indexed by ordinal (C <= 10).
 
-    Equal to ``[str(g.address(i)) for i in range(g.n)]``, but each level's digit
-    strings are grown from the level above by appending one digit, so a
-    literal costs one string concatenation instead of a format call.
+    Equal to ``[format_address(g.address(i)) for i in range(g.n)]``, but a
+    literal costs one string join instead of a format call: each printed
+    level's strings come from ``itertools.product``, in time linear in their
+    length.  WK prints level L only; WKP prints the apex and levels 1..L.
     """
     check_printable(g.C)
     digits = "0123456789"[:g.C]
-    literals = ["(0,(1))"] if g.family == WKP else []
-    strings = [""]
-    for r in range(1, g.L + 1):
-        strings = [s + c for s in strings for c in digits]
-        if g.family == WKP or r == g.L:
-            head = f"({r},("
-            literals += [head + s + "))" for s in strings]
+    if g.family == WK:
+        literals, levels = [], (g.L,)
+    else:
+        literals, levels = [format_address(APEX)], range(1, g.L + 1)
+    for r in levels:
+        head = f"({r},("
+        literals += [head + "".join(s) + "))" for s in itertools.product(digits, repeat=r)]
     return literals
+
+
+def format_address(address: Address) -> str:
+    """The literal ``(r,(a_r...a_1))`` of a vertex, or ``(0,(1))`` for the apex.
+
+    Inverse of ``parse_address``; digits are written one character each.
+    """
+    if not address:
+        return "(0,(1))"
+    return "({},({}))".format(len(address), "".join(map(str, address)))
 
 
 _ADDRESS_RE = re.compile(r"\((\d+),\((\d*)\)\)")
 
 
 def parse_address(text: str, C: int | None = None) -> Address:
-    """Parse an address literal such as ``(2,(34))`` or the apex ``(0,(1))``.
+    """The vertex of an address literal such as ``(2,(34))`` or the apex ``(0,(1))``.
 
-    Inverse of ``str(address)``.  When ``C`` is given every digit is checked
-    against [C]_0, and C > 10 is refused: digits are single characters.
+    Inverse of ``format_address``; the literal's level must equal its digit
+    count.  When ``C`` is given every digit is checked against [C]_0, and
+    C > 10 is refused: digits are single characters.
     """
     if C is not None:
         check_printable(C)
@@ -153,7 +156,7 @@ def parse_address(text: str, C: int | None = None) -> Address:
                 raise AddressParseError(
                     f"address {text!r}: digit {d} out of range for C={C}"
                 )
-    return Address(level, digits)
+    return digits
 
 
 def as_digits(value: str | Iterable[int], C: int, *, what: str = "digit string") -> tuple[int, ...]:
@@ -171,18 +174,11 @@ def as_digits(value: str | Iterable[int], C: int, *, what: str = "digit string")
     return digits
 
 
-class EdgeRef(NamedTuple):
-    """An undirected edge as a sorted pair of vertex ordinals."""
-
-    u: int
-    v: int
-
-
 class PyramidGraph:
     """Immutable adjacency structure for a WK or WKP graph: its rows and nothing else.
 
     ``adjacency[i]`` is the sorted tuple of neighbor ordinals of ordinal i.
-    Vertex (r, d) has ordinal ``offsets[r] + value(d)``, the digits read in
+    Vertex d has ordinal ``offsets[len(d)] + value(d)``, the digits read in
     base C (see the module docstring), so ``ordinal`` and its inverse
     ``address`` are arithmetic and a graph takes O(n + |E|) space.
     """
@@ -205,12 +201,12 @@ class PyramidGraph:
         return sum(len(a) for a in self.adjacency) // 2
 
     def ordinal(self, address: Address) -> int:
-        """offset(r) + value(digits); ParameterDomainError for a non-vertex."""
-        r, digits = address
-        if not ((self.family == WKP or r == self.L) and 0 <= r <= self.L
-                and len(digits) == r and all(0 <= d < self.C for d in digits)):
-            raise ParameterDomainError(f"{address} is not a vertex of {self!r}")
-        return self.offsets[r] + _value(digits, self.C)
+        """offset(len(address)) + value(address); ParameterDomainError for a non-vertex."""
+        r = len(address)
+        if not ((self.family == WKP or r == self.L) and r <= self.L
+                and all(0 <= d < self.C for d in address)):
+            raise ParameterDomainError(f"{format_address(address)} is not a vertex of {self!r}")
+        return self.offsets[r] + _value(address, self.C)
 
     def address(self, i: int) -> Address:
         """Inverse of ``ordinal``; ParameterDomainError for an ordinal outside range(n)."""
@@ -218,7 +214,7 @@ class PyramidGraph:
             raise ParameterDomainError(f"{i} is not a vertex ordinal of {self!r}")
         r = bisect.bisect_right(self.offsets, i) - 1
         x = i - self.offsets[r]
-        return Address(r, tuple(x // self.C ** p % self.C for p in reversed(range(r))))
+        return tuple(x // self.C ** p % self.C for p in reversed(range(r)))
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -345,8 +341,8 @@ def _level_rows(C: int, deltas: list[int], offset: int,
 def build_wk(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
     """Build the WK-recursive mesh WK(C, L) on C**L vertices.
 
-    Vertices carry level L in their address so they share the Address type
-    with pyramid vertices; the canonical order is lexicographic on digits.
+    Its vertices are the length-L strings, the level-L vertices of WKP(C, L);
+    the canonical order is lexicographic on digits.
     """
     _check_parameters(WK, C, L, max_vertices)
     *_, deltas = _bridge_deltas(C, L)
@@ -367,14 +363,14 @@ def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Py
 
 
 def extreme_vertices(g: PyramidGraph) -> set[Address]:
-    """All repeated-digit vertices: (r,(a...a)) per level for WKP, (a)^L for WK."""
+    """All repeated-digit vertices: a^r per level r >= 1 for WKP, a^L for WK."""
     if g.family == WK:
-        return {Address(g.L, (a,) * g.L) for a in range(g.C)}
-    return {Address(r, (a,) * r) for r in range(1, g.L + 1) for a in range(g.C)}
+        return {(a,) * g.L for a in range(g.C)}
+    return {(a,) * r for r in range(1, g.L + 1) for a in range(g.C)}
 
 
 def gw_subgraph(g: PyramidGraph, w: str | Iterable[int]) -> set[Address]:
-    """Vertex set of the level-L block with prefix w: {(L,(w i j)): i, j in [C]_0}.
+    """Vertex set of the level-L block with prefix w: {w i j: i, j in [C]_0}.
 
     The induced subgraph of any such block is isomorphic to WK(C, 2); the
     blocks for all prefixes w partition level L.
@@ -384,7 +380,7 @@ def gw_subgraph(g: PyramidGraph, w: str | Iterable[int]) -> set[Address]:
     if g.L < 2:
         raise ParameterDomainError("level-L blocks need L >= 2")
     prefix = _block_prefix(g, w)
-    return {Address(g.L, prefix + (i, j)) for i in range(g.C) for j in range(g.C)}
+    return {prefix + (i, j) for i in range(g.C) for j in range(g.C)}
 
 
 def _block_prefix(g: PyramidGraph, w: str | Iterable[int]) -> tuple[int, ...]:
@@ -397,7 +393,7 @@ def _block_prefix(g: PyramidGraph, w: str | Iterable[int]) -> tuple[int, ...]:
 
 
 def clique_members(g: PyramidGraph, r: int, prefix: str | Iterable[int]) -> set[Address]:
-    """The C-clique at level r sharing a prefix: {(r,(prefix j)): j in [C]_0}."""
+    """The C-clique at level r sharing a prefix: {prefix j: j in [C]_0}."""
     if not 1 <= r <= g.L:
         raise ParameterDomainError(f"level {r} out of range 1..{g.L}")
     if g.family == WK and r != g.L:
@@ -405,7 +401,7 @@ def clique_members(g: PyramidGraph, r: int, prefix: str | Iterable[int]) -> set[
     p = as_digits(prefix, g.C, what="clique prefix")
     if len(p) != r - 1:
         raise ParameterDomainError(f"clique prefix must have length r-1={r - 1}, got {len(p)}")
-    return {Address(r, p + (j,)) for j in range(g.C)}
+    return {p + (j,) for j in range(g.C)}
 
 
 def block_bridge(a: tuple[int, ...], b: tuple[int, ...],
@@ -427,10 +423,12 @@ def block_bridge(a: tuple[int, ...], b: tuple[int, ...],
     return found
 
 
-def crossing_edge(g: PyramidGraph, w: str | Iterable[int], w2: str | Iterable[int]) -> EdgeRef | None:
+def crossing_edge(g: PyramidGraph, w: str | Iterable[int],
+                  w2: str | Iterable[int]) -> tuple[int, int] | None:
     """The unique level-L edge between the blocks of prefixes w and w2, if any.
 
-    None when the prefixes are not adjacent in WK(C, L-2); see ``block_bridge``.
+    The edge is an ordinal pair (i, j) with i < j, as in ``edge_list``; None
+    when the prefixes are not adjacent in WK(C, L-2); see ``block_bridge``.
     """
     if g.family != WKP or g.L < 3:
         raise ParameterDomainError("crossing edges are defined on WKP graphs with L >= 3")
@@ -441,12 +439,12 @@ def crossing_edge(g: PyramidGraph, w: str | Iterable[int], w2: str | Iterable[in
     bridge = block_bridge(a, b, g.C)
     if bridge is None:
         return None
-    i, j = (g.ordinal(Address(g.L, d)) for d in bridge)
-    return EdgeRef(min(i, j), max(i, j))
+    i, j = sorted(map(g.ordinal, bridge))
+    return i, j
 
 
-def export(g: PyramidGraph, format: str = "json") -> bytes:
-    """Serialize a graph to DOT or JSON bytes with deterministic ordering (C <= 10)."""
+def export(g: PyramidGraph, format: str = "json") -> str:
+    """Serialize a graph to DOT or JSON text with deterministic ordering (C <= 10)."""
     literals = address_literals(g)
     if format == "json":
         payload = {
@@ -454,15 +452,15 @@ def export(g: PyramidGraph, format: str = "json") -> bytes:
             "C": g.C,
             "L": g.L,
             "vertices": literals,
-            "edges": [[i, j] for i, j in g.edge_list()],
+            "edges": g.edge_list(),
         }
-        return (json.dumps(payload) + "\n").encode("utf-8")
+        return json.dumps(payload) + "\n"
     if format == "dot":
         lines = [f'graph "{g.family}({g.C},{g.L})" {{']
         lines.extend(f'  "{a}";' for a in literals)
         lines.extend(f'  "{literals[i]}" -- "{literals[j]}";' for i, j in g.edge_list())
         lines.append("}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return "\n".join(lines) + "\n"
     raise ParameterDomainError(f"unknown export format {format!r}")
 
 
@@ -475,7 +473,8 @@ def graph_from_json(data: bytes | str) -> PyramidGraph:
     """
     try:
         doc = json.loads(data)
-        family, C, L, listed = doc["family"], doc["C"], doc["L"], doc["vertices"]
+        family, C, L, listed, edges = (doc["family"], doc["C"], doc["L"],
+                                       doc["vertices"], doc["edges"])
         builder = {WK: build_wk, WKP: build_wkp}.get(family)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from None
@@ -486,9 +485,9 @@ def graph_from_json(data: bytes | str) -> PyramidGraph:
     # A canonical list ends at level L, which bounds L by the input's size
     # before the graph is built: WK(1, L) has one vertex for every L.
     last = listed[-1] if isinstance(listed, list) and listed else None
-    if not isinstance(last, str) or parse_address(last, C).level != L:
+    if not isinstance(last, str) or len(parse_address(last, C)) != L:
         raise ParameterDomainError(f"graph JSON does not list level L={L} last")
     g = builder(C, L, max_vertices=len(listed))
-    if listed != address_literals(g) or list(map(list, g.edge_list())) != doc["edges"]:
+    if listed != address_literals(g) or list(map(list, g.edge_list())) != edges:
         raise ParameterDomainError(f"graph JSON does not list the vertices and edges of {g!r}")
     return g

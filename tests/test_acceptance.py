@@ -13,6 +13,7 @@ import pytest
 import wkpdom.report as paper_report
 from wkpdom import NEVER, propagation
 from wkpdom.report import run_check_paper
+from wkpdom.topology import PyramidGraph
 
 CRITERIA = {
     1: "exact gamma on two-level pyramids equals C-k",
@@ -88,3 +89,13 @@ def test_domination_row_fails_when_the_engine_misreads_closed_neighbourhoods(mon
     monkeypatch.setattr(propagation, "_closed", everyone)
     ok, computed = paper_report._prop_k0_domination()
     assert not ok, computed
+
+
+@pytest.mark.parametrize("bad, literal", [(0, "(0,(1))"), (5, "(2,(01))")])
+def test_structure_check_names_the_failing_vertex_by_its_literal(monkeypatch, bad, literal):
+    # WKP(3,2) orders the apex first, then level 1, then level 2: ordinal 5
+    # is the digit string 01.
+    real = PyramidGraph.degree
+    monkeypatch.setattr(PyramidGraph, "degree", lambda self, i: real(self, i) + (i == bad))
+    problem = paper_report._check_structure("WKP", 3, 2)
+    assert problem is not None and problem.startswith(f"WKP(3,2): {literal} has degree "), problem

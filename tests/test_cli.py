@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wkpdom import Address, cli, graph_from_json, propagation
+from wkpdom import cli, graph_from_json, propagation
 from wkpdom.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -165,7 +165,7 @@ class TestConstruct:
 
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "construct_kpds",
-                            lambda C, L, k: ({Address(2, (0, 0))}, "level2"))
+                            lambda C, L, k: ({(0, 0)}, "level2"))
         code = main(["construct", "--C", "3", "--L", "2", "--k", "1"])
         captured = capsys.readouterr()
         assert code == 1

@@ -5,7 +5,6 @@ import pytest
 
 from wkpdom import (
     APEX,
-    Address,
     ParameterDomainError,
     RegimeError,
     RegimeTag,
@@ -106,15 +105,15 @@ class TestTrivialConstruction:
 
 class TestLevel2Construction:
     def test_black_vertices_of_the_figure(self):
-        assert construct_level2(5, 1) == {Address(1, (i,)) for i in (1, 2, 3, 4)}
+        assert construct_level2(5, 1) == {(i,) for i in (1, 2, 3, 4)}
 
     def test_single_vertex_when_k_is_c_minus_1(self):
-        assert construct_level2(3, 2) == {Address(1, (2,))}
+        assert construct_level2(3, 2) == {(2,)}
 
     def test_binary_case_verified(self):
         g = build_wkp(2, 2)
         S = construct_level2(2, 1)
-        assert S == {Address(1, (1,))}
+        assert S == {(1,)}
         assert is_kpds(g, 1, ordinals(g, S))
 
     @pytest.mark.parametrize("C", [2, 3, 4, 5])
@@ -142,10 +141,10 @@ class TestHamiltonianCycles:
         g = build_wk(C, m)
         order = ham_cycle_wk(C, m)
         assert len(order) == C ** m
-        assert sorted(order) == sorted(g.address(i).digits for i in range(g.n))
+        assert sorted(order) == sorted(g.address(i) for i in range(g.n))
         for t, w in enumerate(order):
             succ = order[(t + 1) % len(order)]
-            assert g.has_edge(g.ordinal(Address(m, w)), g.ordinal(Address(m, succ)))
+            assert g.has_edge(g.ordinal(w), g.ordinal(succ))
 
     @pytest.mark.parametrize("C", [3, 4, 5])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -165,7 +164,7 @@ class TestGeneralConstruction:
         g = build_wkp(3, 3)
         S = construct_general(3, 3, 1)
         assert len(S) == 3
-        assert all(a.level == 2 for a in S)
+        assert all(len(a) == 2 for a in S)
         assert is_kpds(g, 1, ordinals(g, S))
 
     @pytest.mark.parametrize("C,L,k,size", [(4, 3, 1, 8), (4, 3, 2, 4)])
@@ -200,7 +199,7 @@ class TestGeneralConstruction:
                 attach = []
                 for edge in (edge_in, edge_out):
                     for v in edge:
-                        digits = g.address(v).digits
+                        digits = g.address(v)
                         if digits[: L - 2] == block:
                             attach.append(digits[-1])
                 assert len(attach) == 2 and attach[0] != attach[1]
@@ -214,13 +213,13 @@ class TestGeneralConstruction:
 
 class TestSpineConstruction:
     def test_case_multiple_of_three(self):
-        assert construct_kc1(2, 3) == {Address(2, (0, 0)), APEX}
+        assert construct_kc1(2, 3) == {(0, 0), APEX}
 
     def test_case_remainder_one(self):
-        assert construct_kc1(3, 4) == {Address(3, (0, 0, 0)), Address(1, (0,))}
+        assert construct_kc1(3, 4) == {(0, 0, 0), (0,)}
 
     def test_case_remainder_two(self):
-        assert construct_kc1(2, 5) == {Address(1, (0,)), Address(4, (0, 0, 0, 0))}
+        assert construct_kc1(2, 5) == {(0,), (0, 0, 0, 0)}
 
     @pytest.mark.parametrize("C,L", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (2, 6)])
     def test_size_and_validity(self, C, L):

@@ -6,6 +6,7 @@ from wkpdom import (
     SearchBudget,
     build_wkp,
     exact_result_to_json,
+    format_address,
     gamma_formula,
     is_kpds,
     level1_intersection_check,
@@ -28,7 +29,7 @@ class TestMinKpds:
         result = min_kpds(wkp32, 1)
         assert result.gamma == 2
         assert result.exhausted
-        first = sorted(str(wkp32.address(v)) for v in result.witnesses[0])
+        first = sorted(format_address(wkp32.address(v)) for v in result.witnesses[0])
         assert first == ["(1,(0))", "(1,(1))"]
 
     def test_two_level_binary(self):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wkpdom import (
     APEX,
-    Address,
     ParameterDomainError,
     MonitorTrace,
     RegimeError,
@@ -19,6 +18,7 @@ from wkpdom import (
     construct_kc1,
     construct_kpds,
     construct_level2,
+    format_address,
     is_kpds,
     propagate_fixpoint,
     radius_of_set,
@@ -96,7 +96,7 @@ class TestRound:
     def test_level2_seed_first_round(self, wkp52):
         S = ordinals(wkp52, construct_level2(5, 1))
         rounds = propagate_fixpoint(wkp52, 1, S).rounds
-        added = {str(wkp52.address(v)) for v in rounds[1] - rounds[0]}
+        added = {format_address(wkp52.address(v)) for v in rounds[1] - rounds[0]}
         assert added == {"(2,(01))", "(2,(02))", "(2,(03))", "(2,(04))"}
 
     def test_full_set_is_fixed(self, wkp32):
@@ -213,7 +213,7 @@ def test_closed_degree_above_255(k):
 
 class TestPredicates:
     def test_two_level_one_vertices_suffice(self, wkp32):
-        S = ordinals(wkp32, [Address(1, (1,)), Address(1, (2,))])
+        S = ordinals(wkp32, [(1,), (2,)])
         assert is_kpds(wkp32, 1, S)
 
     def test_apex_alone_fails_at_small_k(self, wkp32):
@@ -276,5 +276,5 @@ def test_trace_json_rounds_list_every_round(family, C, L):
             trace = propagate_fixpoint(g, k, S)
             outcomes.add(trace.covered)
             assert trace_to_json(g, trace)["rounds"] == [
-                [str(g.address(v)) for v in sorted(r)] for r in trace.rounds]
+                [format_address(g.address(v)) for v in sorted(r)] for r in trace.rounds]
     assert outcomes == {True, False}

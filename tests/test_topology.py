@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 import tracemalloc
 from collections import Counter
 
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 
 from wkpdom import (
     APEX,
-    Address,
     AddressParseError,
-    EdgeRef,
     ParameterDomainError,
     build_wk,
     build_wkp,
@@ -19,6 +18,7 @@ from wkpdom import (
     crossing_edge,
     export,
     extreme_vertices,
+    format_address,
     graph_from_json,
     gw_subgraph,
     parse_address,
@@ -49,7 +49,7 @@ def scan_crossing_edges(g, w, w2):
     """Brute-force crossing edge: test every vertex pair between the two blocks."""
     side_a = sorted(g.ordinal(x) for x in gw_subgraph(g, w))
     side_b = sorted(g.ordinal(x) for x in gw_subgraph(g, w2))
-    found = [EdgeRef(min(u, v), max(u, v)) for u in side_a for v in side_b
+    found = [(min(u, v), max(u, v)) for u in side_a for v in side_b
              if g.has_edge(u, v)]
     assert len(found) <= 1, f"blocks {w} and {w2} share {len(found)} edges"
     return found[0] if found else None
@@ -64,24 +64,24 @@ def address_lookup_graph(family, C, L):
     """Vertices and sorted edge list built by looking addresses up in a dict.
 
     The construction the builders used before ordinals became arithmetic:
-    every rule is applied to an Address and mapped to its ordinal by an
-    Address -> ordinal dict.
+    every rule is applied to a digit string and mapped to its ordinal by a
+    string -> ordinal dict.
     """
     levels = range(1, L + 1) if family == "wkp" else (L,)
     vertices = [APEX] if family == "wkp" else []
     for r in levels:
-        vertices.extend(Address(r, t) for t in itertools.product(range(C), repeat=r))
+        vertices.extend(itertools.product(range(C), repeat=r))
     index = {a: i for i, a in enumerate(vertices)}
     edges = set()
-    for i, (r, d) in enumerate(vertices):
-        if r == 0:
+    for i, d in enumerate(vertices):
+        if not d:
             continue
-        others = [Address(r, d[:-1] + (j,)) for j in range(C) if j != d[-1]]
+        others = [d[:-1] + (j,) for j in range(C) if j != d[-1]]
         partner = rule2_partner(d)
         if partner is not None:
-            others.append(Address(r, partner))
+            others.append(partner)
         if family == "wkp":
-            others.append(Address(r - 1, d[:-1]))
+            others.append(d[:-1])
         edges.update((min(i, index[a]), max(i, index[a])) for a in others)
     return vertices, sorted(edges)
 
@@ -89,7 +89,7 @@ def address_lookup_graph(family, C, L):
 class TestBuilders:
     def test_wk_2_2_is_a_path_on_four(self):
         g = build_wk(2, 2)
-        labels = [str(a) for a in addresses(g)]
+        labels = [format_address(a) for a in addresses(g)]
         assert labels == ["(2,(00))", "(2,(01))", "(2,(10))", "(2,(11))"]
         assert g.edge_list() == [(0, 1), (1, 2), (2, 3)]
 
@@ -166,7 +166,7 @@ def test_structural_invariants(family, C, L):
             expected = C - 1 if i in extremes else C
         elif a == APEX:
             expected = C
-        elif a.level < L:
+        elif len(a) < L:
             expected = 2 * C if i in extremes else 2 * C + 1
         else:
             expected = C if i in extremes else C + 1
@@ -187,7 +187,19 @@ class TestAddressLiterals:
                                                     ("wkp", 10, 2), ("wk", 10, 3)])
     def test_literals_are_the_printed_addresses(self, family, C, L):
         g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
-        assert address_literals(g) == [str(a) for a in addresses(g)]
+        literals = address_literals(g)
+        assert literals == [format_address(a) for a in addresses(g)]
+        assert [parse_address(s, C) for s in literals] == addresses(g)
+
+    def test_one_vertex_mesh_literal_is_linear_in_its_length(self):
+        # WK(1, L) has one vertex for every L; growing all L levels of
+        # strings to print it copies O(L^2) characters.
+        g = build_wk(1, 300_000)
+        start = time.perf_counter()
+        literals = address_literals(g)
+        elapsed = time.perf_counter() - start
+        assert literals == ["(300000,(" + "0" * 300_000 + "))"]
+        assert elapsed < 0.5
 
     @pytest.mark.parametrize("builder", [build_wk, build_wkp])
     def test_c_above_10_is_refused(self, builder):
@@ -206,22 +218,19 @@ class TestOrdinals:
                 g.address(i)
         for r in range(-1, L + 2):
             assert list(g.level_ordinals(r)) == [
-                i for i, a in enumerate(addresses(g)) if a.level == r]
+                i for i, a in enumerate(addresses(g)) if len(a) == r]
 
     @pytest.mark.parametrize("family,C,L", [("wk", 3, 2), ("wk", 2, 3), ("wkp", 3, 2),
                                             ("wkp", 4, 3), ("wkp", 1, 2)])
     def test_non_vertices_are_refused(self, family, C, L):
         g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
         bad = [
-            Address(L + 1, (0,) * (L + 1)),         # below the last level
-            Address(L, (C,) + (0,) * (L - 1)),      # digit >= C
-            Address(L, (0,) * (L - 1)),             # digit string too short
-            Address(L, (0,) * (L + 1)),             # digit string too long
-            Address(0, (0,)),                       # the apex has no digits
-            Address(-1, ()),
+            (0,) * (L + 1),                         # below the last level
+            (C,) + (0,) * (L - 1),                  # digit >= C
+            (-1,) + (0,) * (L - 1),                 # negative digit
         ]
         if family == "wk":
-            bad += [APEX, Address(L - 1, (0,) * (L - 1))]
+            bad += [APEX, (0,) * (L - 1)]
         for a in bad:
             with pytest.raises(ParameterDomainError, match="is not a vertex"):
                 g.ordinal(a)
@@ -256,13 +265,13 @@ def test_wk_binary_is_a_path(L):
 def test_top_level_of_pyramid_induces_wk(C, L):
     wkp = build_wkp(C, L)
     wk = build_wk(C, L)
-    top = [i for i, a in enumerate(addresses(wkp)) if a.level == L]
+    top = [i for i, a in enumerate(addresses(wkp)) if len(a) == L]
     induced = {
-        frozenset((wkp.address(i).digits, wkp.address(j).digits))
+        frozenset((wkp.address(i), wkp.address(j)))
         for i in top for j in top if i < j and wkp.has_edge(i, j)
     }
     expected = {
-        frozenset((wk.address(i).digits, wk.address(j).digits))
+        frozenset((wk.address(i), wk.address(j)))
         for i, j in wk.edge_list()
     }
     assert induced == expected
@@ -271,8 +280,8 @@ def test_top_level_of_pyramid_induces_wk(C, L):
 class TestExtremeVertices:
     def test_wkp_3_2(self, wkp32):
         assert extreme_vertices(wkp32) == {
-            Address(1, (0,)), Address(1, (1,)), Address(1, (2,)),
-            Address(2, (0, 0)), Address(2, (1, 1)), Address(2, (2, 2)),
+            (0,), (1,), (2,),
+            (0, 0), (1, 1), (2, 2),
         }
 
     def test_wk_3_1_all_vertices(self):
@@ -287,21 +296,21 @@ class TestBlocks:
     def test_block_of_wkp_3_3(self):
         g = build_wkp(3, 3)
         block = gw_subgraph(g, "0")
-        assert block == {Address(3, (0, i, j)) for i in range(3) for j in range(3)}
+        assert block == {(0, i, j) for i in range(3) for j in range(3)}
         ords = sorted(g.ordinal(a) for a in block)
         induced = sum(1 for i in ords for j in ords if i < j and g.has_edge(i, j))
         assert induced == build_wk(3, 2).edge_count == 12
 
     def test_level_two_pyramid_has_one_block(self, wkp52):
         block = gw_subgraph(wkp52, "")
-        assert block == {a for a in addresses(wkp52) if a.level == 2}
+        assert block == {a for a in addresses(wkp52) if len(a) == 2}
         assert len(block) == 25
 
     def test_blocks_partition_the_top_level(self):
         g = build_wkp(3, 3)
         blocks = [gw_subgraph(g, (w,)) for w in range(3)]
         union = set().union(*blocks)
-        assert union == {a for a in addresses(g) if a.level == 3}
+        assert union == {a for a in addresses(g) if len(a) == 3}
         assert sum(len(b) for b in blocks) == len(union)
 
     def test_malformed_prefix(self):
@@ -315,7 +324,7 @@ class TestBlocks:
 class TestCliqueMembers:
     def test_level_two_clique(self, wkp52):
         members = clique_members(wkp52, 2, "3")
-        assert members == {Address(2, (3, j)) for j in range(5)}
+        assert members == {(3, j) for j in range(5)}
         ords = [wkp52.ordinal(a) for a in members]
         assert all(wkp52.has_edge(u, v) for u in ords for v in ords if u != v)
 
@@ -328,7 +337,7 @@ class TestCliqueMembers:
 
     def test_level_one_clique(self, wkp32):
         members = clique_members(wkp32, 1, "")
-        assert members == {Address(1, (j,)) for j in range(3)}
+        assert members == {(j,) for j in range(3)}
         ords = [wkp32.ordinal(a) for a in members]
         assert all(wkp32.has_edge(u, v) for u in ords for v in ords if u != v)
 
@@ -342,10 +351,8 @@ class TestCliqueMembers:
 class TestCrossingEdge:
     def test_adjacent_blocks_of_wkp_3_3(self):
         g = build_wkp(3, 3)
-        edge = crossing_edge(g, "0", "1")
-        assert {g.address(edge.u), g.address(edge.v)} == {
-            Address(3, (0, 1, 1)), Address(3, (1, 0, 0)),
-        }
+        u, v = crossing_edge(g, "0", "1")
+        assert {g.address(u), g.address(v)} == {(0, 1, 1), (1, 0, 0)}
 
     def test_non_adjacent_blocks_absent(self):
         g = build_wkp(3, 4)
@@ -360,7 +367,7 @@ class TestCrossingEdge:
                                      (5, 3), (2, 5), (3, 5)])
     def test_matches_scan_of_all_pairs(self, C, L):
         g = build_wkp(C, L)
-        prefixes = [a.digits for a in addresses(build_wk(C, L - 2))]
+        prefixes = addresses(build_wk(C, L - 2))
         for w in prefixes:
             for w2 in prefixes:
                 if w != w2:
@@ -370,7 +377,7 @@ class TestCrossingEdge:
     def test_matches_contracted_mesh_adjacency(self, C, L):
         g = build_wkp(C, L)
         contracted = build_wk(C, L - 2)
-        prefixes = [a.digits for a in addresses(contracted)]
+        prefixes = addresses(contracted)
         for i, w in enumerate(prefixes):
             for j, w2 in enumerate(prefixes):
                 if i >= j:
@@ -379,7 +386,7 @@ class TestCrossingEdge:
                 if contracted.has_edge(i, j):
                     assert edge is not None
                     for ordinal in edge:
-                        digits = g.address(ordinal).digits
+                        digits = g.address(ordinal)
                         assert digits[-1] == digits[-2]
                 else:
                     assert edge is None
@@ -413,7 +420,7 @@ class TestExport:
         assert len(doc["edges"]) == 10
 
     def test_dot_output_shape(self, wkp32):
-        text = export(wkp32, "dot").decode()
+        text = export(wkp32, "dot")
         lines = text.strip().splitlines()
         assert lines[0].startswith("graph ")
         assert lines[-1] == "}"
@@ -457,6 +464,10 @@ def _huge_level(doc):
     doc["L"] = 10 ** 9  # refused before 3^(10^9) is computed
 
 
+def _no_edges(doc):
+    del doc["edges"]
+
+
 def _no_vertices(doc):
     doc["vertices"], doc["edges"] = [], []
 
@@ -476,7 +487,8 @@ def _string_C(doc):
 class TestGraphFromJson:
     @pytest.mark.parametrize("corrupt", [_drop_edge, _swap_vertices, _add_edge,
                                          _unknown_family, _self_loop, _edge_out_of_range,
-                                         _more_levels_than_listed, _huge_level, _no_vertices,
+                                         _more_levels_than_listed, _huge_level, _no_edges,
+                                         _no_vertices,
                                          _non_string_vertex, _fractional_C, _string_C])
     def test_non_canonical_document_is_refused(self, corrupt):
         doc = json.loads(export(build_wkp(3, 2), "json"))
@@ -499,7 +511,7 @@ class TestGraphFromJson:
 
 class TestAddressGrammar:
     def test_parse_examples(self):
-        assert parse_address("(2,(34))", C=5) == Address(2, (3, 4))
+        assert parse_address("(2,(34))", C=5) == (3, 4)
         assert parse_address("(0,(1))") == APEX
 
     def test_digit_out_of_range(self):
@@ -521,4 +533,4 @@ class TestAddressGrammar:
 
     def test_round_trip_over_all_vertices(self, wkp32):
         for a in addresses(wkp32):
-            assert parse_address(str(a), wkp32.C) == a
+            assert parse_address(format_address(a), wkp32.C) == a
