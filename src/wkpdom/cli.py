@@ -44,7 +44,7 @@ from .topology import (
     build_wk,
     build_wkp,
     check_printable,
-    export,
+    export_pieces,
     parse_address,
 )
 
@@ -134,16 +134,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     check_printable(args.C)  # before the build whose addresses could not be printed
     builder = build_wk if args.family == "wk" else build_wkp
     g = builder(args.C, args.L, max_vertices=_max_vertices(args))
-    text = export(g, args.format)
+    pieces = export_pieces(g, args.format)
     if args.output:
         try:
             fh = open(args.output, "w")
         except OSError as exc:
             raise ParameterDomainError(f"cannot write {args.output}: {exc.strerror}") from None
         with fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return EXIT_OK
 
 

@@ -2,19 +2,25 @@
 
 Ascending-cardinality search: subsets of size 1, 2, ... are enumerated in
 lexicographic ordinal order, and each is checked with one propagation
-fixpoint.  There is no pruning and no symmetry reduction; the point of
-this module is to be trivially trustworthy at desk scale, not fast.
-Budgets cap only the number of propagation fixpoint runs, so runaway
-instances fail loudly with the partial bound that was established; subset
-sizes need no cap, because V itself is a k-PDS.
+fixpoint.  There is no pruning and no symmetry reduction: every subset is
+still checked and counted, and the point of this module is to be
+trivially trustworthy at desk scale, not fast.  Budgets cap only the
+number of propagation fixpoint runs, so runaway instances fail loudly with
+the partial bound that was established; subset sizes need no cap, because
+V itself is a k-PDS.
 
 The checks run on a private bit-parallel kernel (``_bit_step``) rather
 than on ``propagation``: millions of fixpoints on graphs of a few hundred
 vertices favour whole-set integer operations over per-vertex counters.
 Each search packs N[v] of every vertex into an n-bit int once, from
-``g.adjacency``; the masks live only as long as the search.  The tests
-check the kernel's step against ``propagation.radius_of_set`` and
-``reference.naive_radius`` on the small WK and WKP graphs.
+``g.adjacency``; the masks live only as long as the search.  Each check
+computes its own round 1; the rounds after it depend only on the round-1
+set P_1, so a search runs them once per distinct P_1 and reuses the step
+count for every later subset that reaches the same P_1 (at most
+``LATER_ROUNDS_CAP`` sets are kept at a time).  The tests check the
+kernel's step against ``propagation.radius_of_set`` and
+``reference.naive_radius`` on the small WK and WKP graphs, and the reused
+steps against both on every subset of up to two vertices.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ PROGRESS_INTERVAL = 5_000
 
 #: Default cap on propagation checks per search call.
 DEFAULT_MAX_CHECKS = 10_000_000
+
+#: Most round-1 sets whose later rounds one search keeps; the store is
+#: emptied when it is full.
+LATER_ROUNDS_CAP = 4_096
 
 ProgressFn = Callable[[int, int, int], None]
 
@@ -90,21 +100,27 @@ def _closed_masks(g: PyramidGraph) -> tuple[tuple[int, ...], int]:
     return tuple(masks), (1 << g.n) - 1
 
 
-def _bit_step(masks: tuple[int, ...], full: int, k: int, P: int) -> int | None:
-    """First round index at which monitoring from P = N[S] covers ``full``, else None.
+def _bit_step(masks: tuple[int, ...], full: int, k: int, P: int, new: int) -> int | None:
+    """Rounds after the monitored set P until monitoring covers ``full``, else None.
 
-    Round 1 examines every vertex of P and round t+1 the monitored vertices
-    of N[new_t], the only ones whose unmonitored count changed, each
-    against the frozen P, so the rounds are those of ``propagation``.  Set
-    bits are taken from the top: clearing the top bit shrinks the int.
+    ``new`` holds the vertices that joined P in the round that made it (all
+    of P for a seed's N[S]).  Each round examines the monitored vertices of
+    N[new], the only ones whose unmonitored count changed, each against the
+    frozen P, so the rounds are those of ``propagation``.  Set bits are
+    taken from the top: clearing the top bit shrinks the int.
     """
     if P == full:
         return 0
     step = 0
-    frontier = P
-    nxt = 0
+    nxt = P
     while True:
         step += 1
+        frontier = 0
+        while new:
+            v = new.bit_length() - 1
+            frontier |= masks[v]
+            new ^= 1 << v
+        frontier &= P
         not_p = full ^ P  # positive, so & costs no two's-complement copy
         while frontier:
             v = frontier.bit_length() - 1
@@ -118,11 +134,6 @@ def _bit_step(masks: tuple[int, ...], full: int, k: int, P: int) -> int | None:
         if nxt == full:
             return step
         P = nxt
-        while new:
-            v = new.bit_length() - 1
-            frontier |= masks[v]
-            new ^= 1 << v
-        frontier &= P
 
 
 def _covering_sets(g: PyramidGraph, k: int, sizes: range, budget: SearchBudget | None,
@@ -130,14 +141,22 @@ def _covering_sets(g: PyramidGraph, k: int, sizes: range, budget: SearchBudget |
     """The one enumeration loop: every k-PDS among the subsets of each size.
 
     Subsets of each size in ``sizes`` are checked in lexicographic order;
-    each k-PDS is yielded with its ``_bit_step`` step, and the scan ends
-    with the first size that holds one.  Every check counts against the
-    budget before it runs; running out raises ``BudgetExceededError``.
+    each k-PDS is yielded with its step, and the scan ends with the first
+    size that holds one.  Every check counts against the budget before it
+    runs; running out raises ``BudgetExceededError``.
+
+    A check runs round 1 itself, from the masks of N[s] for each seed s
+    (together they are the vertices of P_0 = N[S]).  Round t+1 reads only
+    P_t, so the rounds after P_1 are a function of P_1: their count comes
+    from ``later``, keyed by P_1, and ``_bit_step`` runs only for a P_1 not
+    seen yet.
     """
     check_k(k)
     budget = budget or SearchBudget()
     masks, full = _closed_masks(g)
     n = g.n
+    rows = [tuple(masks[u] for u in (v, *g.adjacency[v])) for v in range(n)]
+    later: dict[int, int | None] = {}
     checks = 0
     for size in sizes:
         total = math.comb(n, size)
@@ -158,10 +177,26 @@ def _covering_sets(g: PyramidGraph, k: int, sizes: range, budget: SearchBudget |
             P = 0
             for v in combo:
                 P |= masks[v]
-            step = _bit_step(masks, full, k, P)
-            if step is not None:
-                found = True
-                yield combo, step
+            step = 0
+            if P != full:
+                not_p = full ^ P
+                nxt = P
+                for v in combo:
+                    for m in rows[v]:
+                        if (m & not_p).bit_count() <= k:
+                            nxt |= m
+                if nxt == P:
+                    continue
+                if nxt not in later:
+                    if len(later) >= LATER_ROUNDS_CAP:
+                        later.clear()
+                    later[nxt] = _bit_step(masks, full, k, nxt, nxt & not_p)
+                rest = later[nxt]
+                if rest is None:
+                    continue
+                step = 1 + rest
+            found = True
+            yield combo, step
         if found:
             return
 

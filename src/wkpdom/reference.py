@@ -74,9 +74,9 @@ def naive_min_kpds(g: PyramidGraph, k: int) -> tuple[int, list[frozenset[int]], 
     best_size = n + 1
     optimal: list[frozenset[int]] = []
     for mask in range(1 << n):
-        members = frozenset(v for v in range(n) if (mask >> v) & 1)
-        if len(members) > best_size:
+        if mask.bit_count() > best_size:
             continue
+        members = frozenset(v for v in range(n) if (mask >> v) & 1)
         if naive_is_kpds(g, k, members):
             if len(members) < best_size:
                 best_size = len(members)

@@ -445,6 +445,15 @@ def crossing_edge(g: PyramidGraph, w: str | Iterable[int],
 
 def export(g: PyramidGraph, format: str = "json") -> str:
     """Serialize a graph to DOT or JSON text with deterministic ordering (C <= 10)."""
+    return "".join(export_pieces(g, format))
+
+
+def export_pieces(g: PyramidGraph, format: str = "json") -> Iterator[str]:
+    """The text of ``export`` in pieces, for writing as it is made.
+
+    JSON is one piece; DOT is one line per vertex, then one piece per vertex
+    with its edges to higher ordinals.
+    """
     literals = address_literals(g)
     if format == "json":
         payload = {
@@ -454,14 +463,17 @@ def export(g: PyramidGraph, format: str = "json") -> str:
             "vertices": literals,
             "edges": g.edge_list(),
         }
-        return json.dumps(payload) + "\n"
-    if format == "dot":
-        lines = [f'graph "{g.family}({g.C},{g.L})" {{']
-        lines.extend(f'  "{a}";' for a in literals)
-        lines.extend(f'  "{literals[i]}" -- "{literals[j]}";' for i, j in g.edge_list())
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise ParameterDomainError(f"unknown export format {format!r}")
+        yield json.dumps(payload) + "\n"
+    elif format == "dot":
+        yield f'graph "{g.family}({g.C},{g.L})" {{\n'
+        for a in literals:
+            yield f'  "{a}";\n'
+        for i, nbrs in enumerate(g.adjacency):
+            head = f'  "{literals[i]}" -- "'
+            yield "".join([f'{head}{literals[j]}";\n' for j in nbrs if i < j])
+        yield "}\n"
+    else:
+        raise ParameterDomainError(f"unknown export format {format!r}")
 
 
 def graph_from_json(data: bytes | str) -> PyramidGraph:

@@ -43,6 +43,17 @@ class TestGen:
         assert out.count(" -- ") == 10
         assert out.rstrip().endswith("}")
 
+    @pytest.mark.parametrize("argv,digest", [
+        (("--C", "4", "--L", "8"),
+         "b0f21097e0c1aad3cc67709a830992719e2576798afd4e76fc6a968e8eb3efb8"),
+        (("--family", "wk", "--C", "4", "--L", "3"),
+         "10e4f0760f59197726dd72fdcc27639e6fb7f8d7fed6e9572c2e4d06c118c726"),
+    ], ids=["wkp-4-8", "wk-4-3"])
+    def test_dot_output_is_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, "gen", *argv, "--format", "dot")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "g.json"
         code, _ = run(capsys, "gen", "--C", "2", "--L", "2", "-o", str(target))

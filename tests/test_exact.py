@@ -1,3 +1,8 @@
+import functools
+import itertools
+import operator
+import tracemalloc
+
 import pytest
 
 from wkpdom import (
@@ -5,6 +10,7 @@ from wkpdom import (
     RegimeError,
     SearchBudget,
     build_wkp,
+    exact,
     exact_result_to_json,
     format_address,
     gamma_formula,
@@ -14,6 +20,7 @@ from wkpdom import (
     propagation_radius,
     verify_lower_bound,
 )
+from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
 from wkpdom.reference import naive_min_kpds
 
 
@@ -39,6 +46,12 @@ class TestMinKpds:
         result = min_kpds(build_wkp(3, 3), 1)
         assert result.gamma == 3
         assert result.checks_performed == 40 + 780 + 9880
+
+    def test_four_level_quaternary_at_k_3(self):
+        # The longest chains of the paper's instances: radius 15.
+        result = min_kpds(build_wkp(4, 4), 3)
+        assert (result.gamma, result.radius, result.exhausted) == (2, 15, True)
+        assert result.checks_performed == 341 + 57_970
 
     def test_every_witness_is_a_pds_and_minimal(self, wkp32):
         result = min_kpds(wkp32, 1)
@@ -171,3 +184,35 @@ def test_gamma_formula_agrees_with_solver(C, L, k):
         assert gamma == value
     else:
         assert gamma <= value
+
+
+def steps_of_size(g, k, size):
+    """Each k-PDS of ``size`` with the step its search check gives it."""
+    return dict(_covering_sets(g, k, range(size, size + 1), None, None))
+
+
+@pytest.mark.parametrize("C,k", [(4, 1), (3, 1), (3, 2)])
+def test_stored_later_rounds_agree_with_fresh_kernel(C, k):
+    g = build_wkp(C, 3)
+    masks, full = _closed_masks(g)
+    steps = steps_of_size(g, k, 3)
+    for S in itertools.combinations(range(g.n), 3):
+        P = functools.reduce(operator.or_, (masks[v] for v in S))
+        assert steps.get(S) == _bit_step(masks, full, k, P, P), S
+
+
+def test_later_rounds_store_is_bounded():
+    # 30,000 checks on WKP(4,5) at k=1 reach 11,594 distinct round-1 sets
+    # of 1,365 bits.  Kept to LATER_ROUNDS_CAP of them the search peaks near
+    # 1.1 MiB; kept all, it would peak near 2.7 MiB.
+    g = build_wkp(4, 5)
+    assert exact.LATER_ROUNDS_CAP < 11_594
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(BudgetExceededError):
+            verify_lower_bound(g, 1, 3, SearchBudget(max_subset_count=30_000))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

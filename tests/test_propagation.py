@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 
@@ -18,13 +19,14 @@ from wkpdom import (
     construct_kc1,
     construct_kpds,
     construct_level2,
+    exact,
     format_address,
     is_kpds,
     propagate_fixpoint,
     radius_of_set,
     trace_to_json,
 )
-from wkpdom.exact import _bit_step, _closed_masks
+from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
 from wkpdom.reference import naive_fixpoint_rounds, naive_is_kpds, naive_radius
 
 GRAPHS = [build_wkp(3, 2), build_wkp(2, 3)]
@@ -191,11 +193,42 @@ def test_engine_and_exact_kernel_agree_with_reference(family, C, L):
         for S in cross_check_seeds(family, C, L, g, k):
             rounds = naive_fixpoint_rounds(g, k, S)
             radius = naive_radius(g, k, S)
-            step = _bit_step(masks, full, k, functools.reduce(operator.or_, (masks[v] for v in S)))
+            P = functools.reduce(operator.or_, (masks[v] for v in S))
+            step = _bit_step(masks, full, k, P, P)
             assert radius_of_set(g, k, S) == radius
             assert propagate_fixpoint(g, k, S).radius == radius
             assert (math.inf if step is None else 1 + step) == radius
             assert [set(r) for r in propagate_fixpoint(g, k, S).rounds] == rounds
+
+
+@pytest.mark.parametrize("family,C,L", list(small_graphs(40)))
+def test_stored_later_rounds_agree_with_reference(family, C, L, monkeypatch):
+    # Lexicographic order reaches each round-1 set many times, so most
+    # checks read their later rounds from the store; every verdict and step
+    # must still be the naive one, and each distinct round-1 set that grew
+    # must run the later rounds exactly once.
+    g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+    runs = []
+
+    def counting_step(*args):
+        runs.append(args[3])
+        return _bit_step(*args)
+
+    monkeypatch.setattr(exact, "_bit_step", counting_step)
+    for k in range(4):
+        for size in (1, 2):
+            if size > g.n:
+                continue
+            runs.clear()
+            steps = dict(_covering_sets(g, k, range(size, size + 1), None, None))
+            grown = set()
+            for S in itertools.combinations(range(g.n), size):
+                step = steps.get(S)
+                assert (math.inf if step is None else 1 + step) == naive_radius(g, k, S), S
+                rounds = naive_fixpoint_rounds(g, k, S)
+                if len(rounds) > 1 and rounds[1] != rounds[0]:
+                    grown.add(frozenset(rounds[1]))
+            assert len(runs) == len(set(runs)) == len(grown)
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -24,7 +24,7 @@ from wkpdom import (
     parse_address,
 )
 from wkpdom.cli import main
-from wkpdom.topology import address_literals, rule2_partner
+from wkpdom.topology import address_literals, export_pieces, rule2_partner
 
 
 def wkp_count(C, L):
@@ -430,6 +430,16 @@ class TestExport:
     def test_unknown_format(self, wkp32):
         with pytest.raises(ParameterDomainError):
             export(wkp32, "yaml")
+
+    def test_dot_pieces_hold_one_vertex_each(self, wkp32):
+        # The header, one line per vertex, one piece of edges per vertex and
+        # the closing brace: no piece holds the lines of two vertices.
+        pieces = list(export_pieces(wkp32, "dot"))
+        assert "".join(pieces) == export(wkp32, "dot")
+        assert len(pieces) == 2 + 2 * wkp32.n
+        assert all(piece.count("\n") == 1 for piece in pieces[:1 + wkp32.n])
+        assert [piece.count("\n") for piece in pieces[1 + wkp32.n:-1]] == \
+            [sum(j > i for j in row) for i, row in enumerate(wkp32.adjacency)]
 
 
 def _drop_edge(doc):
