@@ -1,9 +1,10 @@
 """One-shot reproduction report for the published closed-form results.
 
 ``run_check_paper`` re-derives every claim in the acceptance table with the
-exhaustive oracle (or, where enumeration is infeasible at desk scale, with
-verified constructions plus a budgeted partial lower-bound sweep flagged
-``skipped-budget``) and reports one row per claim.  Constructions come from
+exhaustive oracle (or, where enumeration is infeasible at desk scale, with a
+verified construction plus a block-fort certificate for the lower bound,
+re-checked by ``forts.check_fort_certificate``) and reports one row per
+claim.  Constructions come from
 ``construct_kpds``, the dispatch ``construct`` prints, and the property
 rows about rounds hold the engine against ``reference``.  Rows are grouped
 by acceptance-criterion number; criterion 0 collects informational probes
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 
 from . import reference
 from .constructions import construct_kpds, ham_cycle_wk
-from .exact import (
-    BudgetExceededError,
-    SearchBudget,
-    level1_intersection_check,
-    min_kpds,
-    propagation_radius,
-    verify_lower_bound,
-)
+from .exact import SearchBudget, level1_intersection_check, min_kpds, propagation_radius
 from .propagation import is_kpds, propagate_fixpoint, radius_of_set
 from .topology import (
     APEX,
@@ -42,11 +36,7 @@ from .topology import (
 
 MATCH = "match"
 BOUND_HOLDS = "bound-holds"
-SKIPPED_BUDGET = "skipped-budget"
 FAIL = "fail"
-
-#: Partial-enumeration budget for the one infeasible lower-bound claim.
-LOWER_BOUND_PROBE_CHECKS = 20_000
 
 
 @dataclass(frozen=True)
@@ -125,28 +115,30 @@ def _rows_gamma_level2(budget: SearchBudget) -> list[ReportRow]:
 # --- criterion 2: exact gamma in the general regime -------------------------
 
 def _rows_gamma_general(budget: SearchBudget) -> list[ReportRow]:
+    # Imported on use: ``wkpdom.cli`` imports this module, and every start
+    # that reuses no .pyc file compiles whatever the CLI imports.
+    from .forts import block_fort_certificate, check_fort_certificate
+
     rows = []
     g = build_wkp(3, 3)
     got = min_kpds(g, 1, budget).gamma
     rows.append(_row(2, "gamma WKP(3,3) k=1", "3", str(got), got == 3))
 
     # WKP(4,3) at gamma=8 is out of exhaustive reach: certify the upper bound
-    # by construction and probe the lower bound with a bounded enumeration.
+    # by construction and the lower bound by one fort group per level-3 block.
     g = build_wkp(4, 3)
     S, _ = construct_kpds(4, 3, 1)
     ok = len(S) == 8 and is_kpds(g, 1, [g.ordinal(a) for a in S])
     rows.append(_row(2, "construction WKP(4,3) k=1", "verified 1-PDS of size 8",
                      f"size {len(S)}, verified={ok}", ok))
+    cert = block_fort_certificate(g, 1)
     try:
-        complete = verify_lower_bound(
-            g, 1, 8, SearchBudget(max_subset_count=LOWER_BOUND_PROBE_CHECKS))
-        rows.append(_row(2, "lower bound WKP(4,3) k=1", "no 1-PDS below size 8",
-                         f"exhaustive up to 7: {complete}", complete))
-    except BudgetExceededError as exc:
-        rows.append(_row(
-            2, "lower bound WKP(4,3) k=1", "no 1-PDS below size 8",
-            f"partial: gamma > {exc.gamma_exceeds} after {exc.checks_performed} checks",
-            True, SKIPPED_BUDGET))
+        bound = check_fort_certificate(g, 1, cert)
+        computed = f"certified by {len(cert)} block-fort groups: gamma >= {bound}"
+    except ValueError as exc:
+        bound, computed = 0, f"certificate rejected: {exc}"
+    rows.append(_row(2, "lower bound WKP(4,3) k=1", "no 1-PDS below size 8",
+                     computed, bound >= 8))
     return rows
 
 

@@ -451,19 +451,23 @@ def export(g: PyramidGraph, format: str = "json") -> str:
 def export_pieces(g: PyramidGraph, format: str = "json") -> Iterator[str]:
     """The text of ``export`` in pieces, for writing as it is made.
 
-    JSON is one piece; DOT is one line per vertex, then one piece per vertex
-    with its edges to higher ordinals.
+    JSON, the bytes ``json.dumps`` makes of the whole document, is the
+    header, the vertex list, the edges key, one piece per vertex that has
+    edges to higher ordinals, and the closing brackets; DOT is one line per
+    vertex, then one piece per vertex with its edges to higher ordinals.
     """
     literals = address_literals(g)
     if format == "json":
-        payload = {
-            "family": g.family,
-            "C": g.C,
-            "L": g.L,
-            "vertices": literals,
-            "edges": g.edge_list(),
-        }
-        yield json.dumps(payload) + "\n"
+        yield json.dumps({"family": g.family, "C": g.C, "L": g.L})[:-1] + ', "vertices": '
+        yield json.dumps(literals)
+        yield ', "edges": ['
+        sep = ""
+        for i, nbrs in enumerate(g.adjacency):
+            edges = ", ".join([f"[{i}, {j}]" for j in nbrs if i < j])
+            if edges:
+                yield sep + edges
+                sep = ", "
+        yield "]}\n"
     elif format == "dot":
         yield f'graph "{g.family}({g.C},{g.L})" {{\n'
         for a in literals:

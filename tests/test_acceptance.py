@@ -3,7 +3,8 @@
 One pass/fail line per criterion is printed; run with ``pytest -s`` to see
 them inline.  All comparisons are integer or boolean equality, and the one
 claim that is infeasible to enumerate exhaustively at desk scale must come
-back flagged ``skipped-budget`` with its construction-side half verified.
+back ``match``: its upper bound by a verified construction, its lower bound
+by a block-fort certificate.
 """
 
 import dataclasses
@@ -48,7 +49,8 @@ def test_criterion(report, criterion):
 def test_criterion_2_budget_row_is_flagged(report):
     rows = [r for r in report.rows_for(2) if "lower bound" in r.claim]
     assert len(rows) == 1
-    assert rows[0].status == "skipped-budget"
+    assert rows[0].status == "match"
+    assert rows[0].computed == "certified by 4 block-fort groups: gamma >= 8"
 
 
 def test_informational_probes_hold(report):

@@ -54,6 +54,21 @@ class TestGen:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv,digest", [
+        (("--C", "3", "--L", "4"),
+         "07aeacd0cbfd033d61629f57e333c69e5c6fc7c03f04f9c4d4aa90a7f7a55ece"),
+        (("--C", "4", "--L", "8"),
+         "eb8c963829c6b0da0858fdfced8f1dd7841fd4a8fcef24bd60686ca26db7bf4c"),
+        (("--family", "wk", "--C", "4", "--L", "3"),
+         "e60af5645e7db05197e4ba80b2c6080ec0e59ed8133e1e00ddebf304770575a0"),
+        (("--family", "wk", "--C", "1", "--L", "2"),  # one vertex, no edge
+         "90de0b2ab0c9da1952485d6841386b7697ec42df889207916e72110cc1e222b2"),
+    ], ids=["wkp-3-4", "wkp-4-8", "wk-4-3", "wk-1-2"])
+    def test_json_output_is_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, "gen", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "g.json"
         code, _ = run(capsys, "gen", "--C", "2", "--L", "2", "-o", str(target))
@@ -349,7 +364,8 @@ class TestCheckPaper:
         code, out = run(capsys, "check-paper")
         assert code == 0
         assert "fail" not in out
-        assert "skipped-budget" in out
+        assert "skipped-budget" not in out
+        assert "[         match]  lower bound WKP(4,3) k=1" in out
 
     def test_json_report_is_deterministic(self, capsys):
         code, out = run(capsys, "check-paper", "--format", "json")

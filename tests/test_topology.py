@@ -441,6 +441,32 @@ class TestExport:
         assert [piece.count("\n") for piece in pieces[1 + wkp32.n:-1]] == \
             [sum(j > i for j in row) for i, row in enumerate(wkp32.adjacency)]
 
+    def test_json_pieces_hold_one_vertex_each(self, wkp32):
+        # The header, the vertex list, the edges key, one piece per vertex
+        # with edges to higher ordinals, and the closing brackets.
+        pieces = list(export_pieces(wkp32, "json"))
+        assert "".join(pieces) == export(wkp32, "json")
+        rows = [[[i, j] for j in row if j > i] for i, row in enumerate(wkp32.adjacency)]
+        assert [json.loads(f"[{piece.lstrip(', ')}]") for piece in pieces[3:-1]] == \
+            [row for row in rows if row]
+
+    def test_json_edges_are_not_held_at_once(self):
+        # WKP(4,7)'s 65,518 edge tuples take 4.5 MiB as one list; once the
+        # header and the vertex list are out, the rest holds a row at a time.
+        g = build_wkp(4, 7)
+        tracemalloc.start()
+        try:
+            pieces = export_pieces(g, "json")
+            next(pieces), next(pieces)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in pieces:
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 def _drop_edge(doc):
     del doc["edges"][3]
