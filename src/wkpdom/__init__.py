@@ -10,11 +10,7 @@ from .constructions import (
     GammaValue,
     RegimeError,
     RegimeTag,
-    construct_general,
-    construct_kc1,
     construct_kpds,
-    construct_level2,
-    construct_trivial,
     gamma_formula,
     ham_cycle_wk,
     regime_of,
@@ -86,11 +82,7 @@ __all__ = [
     "build_wkp",
     "clique_members",
     "closed_neighborhood",
-    "construct_general",
-    "construct_kc1",
     "construct_kpds",
-    "construct_level2",
-    "construct_trivial",
     "crossing_edge",
     "exact_result_to_json",
     "export",

@@ -170,6 +170,7 @@ def _construct_payload(args: argparse.Namespace) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    check_printable(args.C)  # before the build whose addresses could not be parsed
     g = _pyramid(args)
     seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
     trace = propagate_fixpoint(g, args.k, seed)
@@ -198,6 +199,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    check_printable(args.C)  # before the build whose addresses could not be parsed
     g = _pyramid(args)
     seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
     trace = propagate_fixpoint(g, args.k, seed)

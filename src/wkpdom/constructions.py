@@ -13,11 +13,13 @@ Four parameter regimes cover all C, L >= 1 and k >= 1:
   bound on the optimum.
 
 ``regime_of`` returns the ``RegimeTag`` and ``ham_cycle_wk`` the cycle's
-digit strings in cyclic order.  The builders only assemble vertex sets and
-check their own bookkeeping: bridge cliques, and for the general and
-spine sets a size equal to ``gamma_formula``'s.  ``construct_kpds`` is the
-one dispatch, read by both ``construct`` and ``check-paper``; whether a set
-is a k-PDS is decided once, by the caller that reports it, with the
+digit strings in cyclic order.  ``construct_kpds`` is the one construction
+entry point, read by both ``construct`` and ``check-paper``: it decides the
+regime once, builds the apex and level-2 sets inline and the general and
+spine sets with private helpers, and checks every set's size against
+``gamma_formula`` once.  The helpers only assemble vertex sets and check
+their own bookkeeping (the general set's bridge cliques); whether a set is
+a k-PDS is decided once, by the caller that reports it, with the
 propagation engine.
 """
 
@@ -30,7 +32,7 @@ from .topology import APEX, Address, ParameterDomainError, block_bridge, check_d
 
 
 class RegimeError(ValueError):
-    """Parameters fall outside the regime required by a construction."""
+    """Parameters fall outside every regime, or outside the one a check needs."""
 
 
 class ConstructionError(RuntimeError):
@@ -90,32 +92,6 @@ def gamma_formula(C: int, L: int, k: int) -> GammaValue:
     return GammaValue((L + 3) // 3, False)  # ceil((L+1)/3)
 
 
-def _require(C: int, L: int, k: int, tag: RegimeTag, what: str) -> None:
-    actual = regime_of(C, L, k)
-    if actual is not tag:
-        raise RegimeError(
-            f"{what} needs regime {tag.value}, but (C={C}, L={L}, k={k}) "
-            f"is {actual.value}"
-        )
-
-
-def construct_trivial(C: int, L: int, k: int) -> set[Address]:
-    """The singleton {apex}, a k-PDS whenever C=1, L=1 or k>=C.
-
-    With k >= C each vertex can propagate past its C children, so monitoring
-    cascades level by level from the apex; for C=1 and L=1 the graph is a
-    path or a complete graph.
-    """
-    _require(C, L, k, RegimeTag.TRIVIAL_ONE, "construct_trivial")
-    return {APEX}
-
-
-def construct_level2(C: int, k: int) -> set[Address]:
-    """The C-k level-1 vertices (i), k <= i <= C-1, a k-PDS of WKP(C, 2)."""
-    _require(C, 2, k, RegimeTag.LEVEL2, "construct_level2")
-    return {(i,) for i in range(k, C)}
-
-
 def _ham_path(C: int, m: int, ends: list[int]) -> list[tuple[int, ...]]:
     """Hamiltonian path of WK(C, m) through the sub-meshes ``ends[1:-1]`` in order.
 
@@ -151,8 +127,8 @@ def ham_cycle_wk(C: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_ham_path(C, m, [C - 1, *range(C), 0]))
 
 
-def construct_general(C: int, L: int, k: int) -> set[Address]:
-    """A k-PDS of WKP(C, L) of size (C-k-1) * C^(L-2) for L>=3, C>=3, k<=C-2.
+def _general(C: int, L: int, k: int) -> set[Address]:
+    """The GENERAL set: C-k-1 vertices per level-L block, (C-k-1) * C^(L-2) in all.
 
     The level-L blocks are threaded into the cyclic order of ``ham_cycle_wk``;
     consecutive blocks meet in exactly one crossing edge whose endpoints are
@@ -162,7 +138,6 @@ def construct_general(C: int, L: int, k: int) -> set[Address]:
     the incoming-endpoint clique and the outgoing-endpoint clique (inside a
     chosen clique: the smallest member that is not extreme in its block).
     """
-    _require(C, L, k, RegimeTag.GENERAL, "construct_general")
     cycle = ham_cycle_wk(C, L - 2)
     chosen: set[Address] = set()
     for t, block in enumerate(cycle):
@@ -184,44 +159,46 @@ def construct_general(C: int, L: int, k: int) -> set[Address]:
         spare = [c for c in range(C) if c not in (clique_in, clique_out)]
         for c in spare[: C - k - 2]:
             chosen.add(block + (c, 1 if c == 0 else 0))
-    expected = gamma_formula(C, L, k).value
-    if len(chosen) != expected:
-        raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")
     return chosen
 
 
-def construct_kc1(C: int, L: int) -> set[Address]:
-    """A (C-1)-PDS of WKP(C, L) of size ceil((L+1)/3) for C>=2, L>=3.
+def _spine(L: int) -> set[Address]:
+    """The K_EQ_C_MINUS_1_UPPER set: all-zero spine vertices three levels apart.
 
-    All-zero spine vertices spaced three levels apart; the level pattern
-    depends on L mod 3 and for L=3m includes the apex.
+    The level pattern depends on L mod 3 and for L=3m includes the apex.
     """
-    _require(C, L, C - 1, RegimeTag.K_EQ_C_MINUS_1_UPPER, "construct_kc1")
     m, rem = divmod(L, 3)
     if rem == 0:
-        chosen = {(0,) * (3 * i - 1) for i in range(1, m + 1)}
-        chosen.add(APEX)
-    elif rem == 1:
-        chosen = {(0,) * (3 * i) for i in range(1, m + 1)}
-        chosen.add((0,))
-    else:
-        chosen = {(0,) * (3 * i - 2) for i in range(1, m + 2)}
-    expected = gamma_formula(C, L, C - 1).value
-    if len(chosen) != expected:
-        raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")
-    return chosen
+        return {APEX, *((0,) * (3 * i - 1) for i in range(1, m + 1))}
+    if rem == 1:
+        return {(0,), *((0,) * (3 * i) for i in range(1, m + 1))}
+    return {(0,) * (3 * i - 2) for i in range(1, m + 2)}
 
 
 def construct_kpds(C: int, L: int, k: int) -> tuple[set[Address], str]:
-    """Dispatch to the regime's construction; returns (vertex set, provenance tag).
+    """The regime's k-PDS of WKP(C, L) and its provenance tag.
 
-    The k=C-1 spine tag ``kc1-case1/2/3`` names its level pattern, by L mod 3.
+    The tags are ``trivial-apex``, ``level2``, ``general-hamiltonian`` and,
+    for the k=C-1 spine, ``kc1-case1/2/3``, which names its level pattern by
+    L mod 3.  Every set's size is checked against ``gamma_formula``.
     """
     tag = regime_of(C, L, k)
     if tag is RegimeTag.TRIVIAL_ONE:
-        return construct_trivial(C, L, k), "trivial-apex"
-    if tag is RegimeTag.LEVEL2:
-        return construct_level2(C, k), "level2"
-    if tag is RegimeTag.GENERAL:
-        return construct_general(C, L, k), "general-hamiltonian"
-    return construct_kc1(C, L), f"kc1-case{L % 3 + 1}"
+        # With k >= C each vertex can propagate past its C children, so
+        # monitoring cascades level by level from the apex; for C=1 and L=1
+        # the graph is a path or a complete graph.
+        chosen, provenance = {APEX}, "trivial-apex"
+    elif tag is RegimeTag.LEVEL2:
+        # Each seed (i), k <= i <= C-1, monitors the apex, level 1 and its
+        # children; a child (i j) with j < k then lacks only its bridge
+        # partner (j i), so each unseeded (j) is left with its k children
+        # (j j'), j' < k, unmonitored and fires.
+        chosen, provenance = {(i,) for i in range(k, C)}, "level2"
+    elif tag is RegimeTag.GENERAL:
+        chosen, provenance = _general(C, L, k), "general-hamiltonian"
+    else:
+        chosen, provenance = _spine(L), f"kc1-case{L % 3 + 1}"
+    expected = gamma_formula(C, L, k).value
+    if len(chosen) != expected:
+        raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")
+    return chosen, provenance

@@ -448,18 +448,30 @@ def export(g: PyramidGraph, format: str = "json") -> str:
     return "".join(export_pieces(g, format))
 
 
+#: Vertices per piece of the JSON vertex list that ``export_pieces`` writes.
+_VERTICES_PER_PIECE = 512
+
+
 def export_pieces(g: PyramidGraph, format: str = "json") -> Iterator[str]:
     """The text of ``export`` in pieces, for writing as it is made.
 
     JSON, the bytes ``json.dumps`` makes of the whole document, is the
-    header, the vertex list, the edges key, one piece per vertex that has
-    edges to higher ordinals, and the closing brackets; DOT is one line per
-    vertex, then one piece per vertex with its edges to higher ordinals.
+    header, the vertex list's opening bracket, its quoted literals
+    ``_VERTICES_PER_PIECE`` at a time, its closing bracket, the edges key,
+    one piece per vertex that has edges to higher ordinals, and the closing
+    brackets; DOT is one line per vertex, then one piece per vertex with its
+    edges to higher ordinals.
     """
     literals = address_literals(g)
     if format == "json":
         yield json.dumps({"family": g.family, "C": g.C, "L": g.L})[:-1] + ', "vertices": '
-        yield json.dumps(literals)
+        yield "["
+        # Literals hold only digits, commas and parentheses: quoted, they are JSON.
+        sep = '"'
+        for start in range(0, len(literals), _VERTICES_PER_PIECE):
+            yield sep + '", "'.join(literals[start:start + _VERTICES_PER_PIECE]) + '"'
+            sep = ', "'
+        yield "]"
         yield ', "edges": ['
         sep = ""
         for i, nbrs in enumerate(g.adjacency):

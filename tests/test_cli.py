@@ -94,6 +94,11 @@ class TestGen:
         ["exact", "--C", "11", "--L", "2", "--k", "1", "--budget", "1000"],
         ["construct", "--C", "11", "--L", "2", "--k", "1"],
         ["verify", "--C", "11", "--L", "1", "--k", "1", "--set", "(1,(1))"],
+        ["trace", "--C", "11", "--L", "1", "--k", "1", "--set", "(1,(1))"],
+        # WKP(11,5) is over the vertex cap; C > 10 is refused first, as by construct.
+        ["construct", "--C", "11", "--L", "5", "--k", "1"],
+        ["verify", "--C", "11", "--L", "5", "--k", "1", "--set", "(1,(1))"],
+        ["trace", "--C", "11", "--L", "5", "--k", "1", "--set", "(1,(1))"],
     ])
     def test_c_above_10_exit_2(self, capsys, argv):
         # Addresses print one character per digit; (1,(10)) would not parse back.
@@ -373,7 +378,7 @@ class TestCheckPaper:
         doc = json.loads(out)
         assert doc["failures"] == 0
         statuses = {row["status"] for row in doc["rows"]}
-        assert statuses <= {"match", "bound-holds", "skipped-budget"}
+        assert statuses <= {"match", "bound-holds"}
         code2, out2 = run(capsys, "check-paper", "--format", "json")
         assert (code2, out2) == (code, out)
 

@@ -5,16 +5,15 @@ import pytest
 
 from wkpdom import (
     APEX,
+    ConstructionError,
+    GammaValue,
     ParameterDomainError,
     RegimeError,
     RegimeTag,
     build_wk,
     build_wkp,
-    construct_general,
-    construct_kc1,
     construct_kpds,
-    construct_level2,
-    construct_trivial,
+    constructions,
     gamma_formula,
     ham_cycle_wk,
     is_kpds,
@@ -93,26 +92,22 @@ class TestGammaFormula:
 class TestTrivialConstruction:
     @pytest.mark.parametrize("C,L,k", [(3, 4, 3), (1, 5, 1), (4, 1, 1)])
     def test_apex_singleton(self, C, L, k):
-        S = construct_trivial(C, L, k)
+        S = construct_kpds(C, L, k)[0]
         assert S == {APEX}
         g = build_wkp(C, L)
         assert is_kpds(g, k, ordinals(g, S))
 
-    def test_wrong_regime(self):
-        with pytest.raises(RegimeError):
-            construct_trivial(3, 2, 1)
-
 
 class TestLevel2Construction:
     def test_black_vertices_of_the_figure(self):
-        assert construct_level2(5, 1) == {(i,) for i in (1, 2, 3, 4)}
+        assert construct_kpds(5, 2, 1)[0] == {(i,) for i in (1, 2, 3, 4)}
 
     def test_single_vertex_when_k_is_c_minus_1(self):
-        assert construct_level2(3, 2) == {(2,)}
+        assert construct_kpds(3, 2, 2)[0] == {(2,)}
 
     def test_binary_case_verified(self):
         g = build_wkp(2, 2)
-        S = construct_level2(2, 1)
+        S = construct_kpds(2, 2, 1)[0]
         assert S == {(1,)}
         assert is_kpds(g, 1, ordinals(g, S))
 
@@ -120,15 +115,9 @@ class TestLevel2Construction:
     def test_size_and_validity(self, C):
         g = build_wkp(C, 2)
         for k in range(1, C):
-            S = construct_level2(C, k)
+            S = construct_kpds(C, 2, k)[0]
             assert len(S) == C - k
             assert is_kpds(g, k, ordinals(g, S))
-
-    def test_wrong_regime(self):
-        with pytest.raises(RegimeError):
-            construct_level2(1, 1)
-        with pytest.raises(RegimeError):
-            construct_level2(3, 3)
 
 
 class TestHamiltonianCycles:
@@ -149,7 +138,7 @@ class TestHamiltonianCycles:
     @pytest.mark.parametrize("C", [3, 4, 5])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_cycle_order_is_pinned(self, C, m):
-        # construct_general picks its vertices along this order.
+        # construct_kpds's general set picks its vertices along this order.
         golden = json.loads(HAM_CYCLES.read_text())[f"{C},{m}"]
         assert ham_cycle_wk(C, m) == tuple(tuple(map(int, w)) for w in golden)
 
@@ -162,7 +151,7 @@ class TestHamiltonianCycles:
 class TestGeneralConstruction:
     def test_three_blocks_one_vertex_each(self):
         g = build_wkp(3, 3)
-        S = construct_general(3, 3, 1)
+        S = construct_kpds(3, 3, 1)[0]
         assert len(S) == 3
         assert all(len(a) == 2 for a in S)
         assert is_kpds(g, 1, ordinals(g, S))
@@ -170,7 +159,7 @@ class TestGeneralConstruction:
     @pytest.mark.parametrize("C,L,k,size", [(4, 3, 1, 8), (4, 3, 2, 4)])
     def test_sizes_verified(self, C, L, k, size):
         g = build_wkp(C, L)
-        S = construct_general(C, L, k)
+        S = construct_kpds(C, L, k)[0]
         assert len(S) == size
         assert is_kpds(g, k, ordinals(g, S))
 
@@ -182,7 +171,7 @@ class TestGeneralConstruction:
                     continue
                 g = build_wkp(C, L)
                 for k in range(1, C - 1):
-                    S = construct_general(C, L, k)
+                    S = construct_kpds(C, L, k)[0]
                     assert len(S) == (C - k - 1) * C ** (L - 2)
                     assert is_kpds(g, k, ordinals(g, S))
 
@@ -204,35 +193,23 @@ class TestGeneralConstruction:
                             attach.append(digits[-1])
                 assert len(attach) == 2 and attach[0] != attach[1]
 
-    def test_wrong_regime(self):
-        with pytest.raises(RegimeError):
-            construct_general(3, 2, 1)
-        with pytest.raises(RegimeError):
-            construct_general(4, 3, 3)
-
 
 class TestSpineConstruction:
     def test_case_multiple_of_three(self):
-        assert construct_kc1(2, 3) == {(0, 0), APEX}
+        assert construct_kpds(2, 3, 1)[0] == {(0, 0), APEX}
 
     def test_case_remainder_one(self):
-        assert construct_kc1(3, 4) == {(0, 0, 0), (0,)}
+        assert construct_kpds(3, 4, 2)[0] == {(0, 0, 0), (0,)}
 
     def test_case_remainder_two(self):
-        assert construct_kc1(2, 5) == {(0,), (0, 0, 0, 0)}
+        assert construct_kpds(2, 5, 1)[0] == {(0,), (0, 0, 0, 0)}
 
     @pytest.mark.parametrize("C,L", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (2, 6)])
     def test_size_and_validity(self, C, L):
         g = build_wkp(C, L)
-        S = construct_kc1(C, L)
+        S = construct_kpds(C, L, C - 1)[0]
         assert len(S) == (L + 3) // 3
         assert is_kpds(g, C - 1, ordinals(g, S))
-
-    def test_wrong_regime(self):
-        with pytest.raises(RegimeError):
-            construct_kc1(2, 2)
-        with pytest.raises(RegimeError):
-            construct_kc1(1, 5)
 
 
 class TestDispatcher:
@@ -261,3 +238,17 @@ class TestDispatcher:
                     assert is_kpds(g, k, ordinals(g, S))
                     value, exact = gamma_formula(C, L, k)
                     assert len(S) == value
+
+    @pytest.mark.parametrize("C,L,k,tag", [
+        (3, 3, 3, "trivial-apex"),
+        (4, 2, 2, "level2"),
+        (3, 3, 1, "general-hamiltonian"),
+        (2, 4, 1, "kc1-case2"),
+    ])
+    def test_every_set_is_checked_against_the_formula(self, monkeypatch, C, L, k, tag):
+        # One size check covers all four regimes: a formula one off is caught.
+        assert construct_kpds(C, L, k)[1] == tag
+        monkeypatch.setattr(constructions, "gamma_formula",
+                            lambda *a: GammaValue(gamma_formula(*a).value + 1, True))
+        with pytest.raises(ConstructionError, match="expected"):
+            construct_kpds(C, L, k)

@@ -16,9 +16,7 @@ from wkpdom import (
     build_wk,
     build_wkp,
     closed_neighborhood,
-    construct_kc1,
     construct_kpds,
-    construct_level2,
     exact,
     format_address,
     is_kpds,
@@ -96,7 +94,7 @@ class TestRound:
         assert propagate_fixpoint(g, 1, seed).rounds[1] > P0
 
     def test_level2_seed_first_round(self, wkp52):
-        S = ordinals(wkp52, construct_level2(5, 1))
+        S = ordinals(wkp52, construct_kpds(5, 2, 1)[0])
         rounds = propagate_fixpoint(wkp52, 1, S).rounds
         added = {format_address(wkp52.address(v)) for v in rounds[1] - rounds[0]}
         assert added == {"(2,(01))", "(2,(02))", "(2,(03))", "(2,(04))"}
@@ -122,7 +120,7 @@ class TestFixpoint:
         assert all(math.isinf(s) for s in trace.first_step)
 
     def test_level2_seed_covers_in_two_rounds(self, wkp52):
-        S = ordinals(wkp52, construct_level2(5, 1))
+        S = ordinals(wkp52, construct_kpds(5, 2, 1)[0])
         trace = propagate_fixpoint(wkp52, 1, S)
         assert len(trace.rounds) == 3
         assert trace.rounds[2] == frozenset(range(wkp52.n))
@@ -159,7 +157,7 @@ class TestFixpoint:
         # The WKP(3,7) k=2 spine needs 127 rounds; every round re-examining
         # all monitored vertices would read about 127 * n / 2 rows.
         g = build_wkp(3, 7)
-        S = ordinals(g, construct_kc1(3, 7))
+        S = ordinals(g, construct_kpds(3, 7, 2)[0])
         g.adjacency = rows = CountingRows(g.adjacency)
         result = prop(g, 2, S)
         assert (result.round_count if prop is propagate_fixpoint else result) == 127
@@ -274,7 +272,7 @@ class TestRadius:
         assert radius_of_set(wkp32, 1, range(wkp32.n)) == 1
 
     def test_level2_seed(self, wkp52):
-        assert radius_of_set(wkp52, 1, ordinals(wkp52, construct_level2(5, 1))) == 3
+        assert radius_of_set(wkp52, 1, ordinals(wkp52, construct_kpds(5, 2, 1)[0])) == 3
 
     def test_non_pds_is_never(self, wkp32):
         assert math.isinf(radius_of_set(wkp32, 1, [wkp32.ordinal(APEX)]))
@@ -282,7 +280,7 @@ class TestRadius:
 
 class TestCertificates:
     def test_certificate_fields(self, wkp32):
-        S = ordinals(wkp32, construct_level2(3, 1))
+        S = ordinals(wkp32, construct_kpds(3, 2, 1)[0])
         trace = propagate_fixpoint(wkp32, 1, S)
         assert trace.covered
         assert trace.radius == radius_of_set(wkp32, 1, S) == 3

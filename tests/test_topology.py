@@ -446,18 +446,32 @@ class TestExport:
         # with edges to higher ordinals, and the closing brackets.
         pieces = list(export_pieces(wkp32, "json"))
         assert "".join(pieces) == export(wkp32, "json")
+        edges_key = pieces.index(', "edges": [')
         rows = [[[i, j] for j in row if j > i] for i, row in enumerate(wkp32.adjacency)]
-        assert [json.loads(f"[{piece.lstrip(', ')}]") for piece in pieces[3:-1]] == \
+        assert [json.loads(f"[{piece.lstrip(', ')}]") for piece in pieces[edges_key + 1:-1]] == \
             [row for row in rows if row]
 
+    def test_json_vertex_list_is_written_in_bounded_pieces(self):
+        g = build_wkp(4, 5)
+        pieces = list(export_pieces(g, "json"))
+        assert "".join(pieces) == export(g, "json")
+        start, end = pieces.index("["), pieces.index("]")
+        listed = json.loads("[" + "".join(pieces[start + 1:end]) + "]")
+        assert listed == address_literals(g)
+        counts = [len(json.loads(f"[{piece.lstrip(', ')}]")) for piece in pieces[start + 1:end]]
+        assert counts == [512] * (g.n // 512) + [g.n % 512]
+
     def test_json_edges_are_not_held_at_once(self):
-        # WKP(4,7)'s 65,518 edge tuples take 4.5 MiB as one list; once the
-        # header and the vertex list are out, the rest holds a row at a time.
+        # WKP(4,7)'s 65,518 edge tuples take 4.5 MiB as one list, and its
+        # 21,845 quoted vertex literals 0.3 MiB as one string; once the
+        # header is out, the rest holds a bounded number of vertices or one
+        # row at a time.
         g = build_wkp(4, 7)
         tracemalloc.start()
         try:
             pieces = export_pieces(g, "json")
-            next(pieces), next(pieces)
+            next(pieces)
+
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             for _ in pieces:
