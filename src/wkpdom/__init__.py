@@ -23,12 +23,10 @@ from .exact import (
     level1_intersection_check,
     min_kpds,
     propagation_radius,
-    verify_lower_bound,
 )
 from .propagation import (
     NEVER,
     MonitorTrace,
-    closed_neighborhood,
     is_kpds,
     propagate_fixpoint,
     radius_of_set,
@@ -46,13 +44,10 @@ from .topology import (
     PyramidGraph,
     build_wk,
     build_wkp,
-    clique_members,
-    crossing_edge,
     export,
     extreme_vertices,
     format_address,
     graph_from_json,
-    gw_subgraph,
     parse_address,
 )
 
@@ -80,17 +75,13 @@ __all__ = [
     "WKP",
     "build_wk",
     "build_wkp",
-    "clique_members",
-    "closed_neighborhood",
     "construct_kpds",
-    "crossing_edge",
     "exact_result_to_json",
     "export",
     "extreme_vertices",
     "format_address",
     "gamma_formula",
     "graph_from_json",
-    "gw_subgraph",
     "ham_cycle_wk",
     "is_kpds",
     "level1_intersection_check",
@@ -102,5 +93,4 @@ __all__ = [
     "regime_of",
     "run_check_paper",
     "trace_to_json",
-    "verify_lower_bound",
 ]

@@ -253,17 +253,6 @@ def propagation_radius(g: PyramidGraph, k: int, budget: SearchBudget | None = No
     return _whole_level(min_kpds(g, k, budget, progress=progress), "radius ").radius
 
 
-def verify_lower_bound(g: PyramidGraph, k: int, bound: int,
-                       budget: SearchBudget | None = None) -> bool:
-    """True iff no set of size < bound is a k-PDS, by exhaustive enumeration.
-
-    This is the empirical stand-in for the closed formulas' lower-bound
-    arguments; bound=1 is vacuously true.
-    """
-    sizes = range(1, min(bound, g.n + 1))
-    return next(_covering_sets(g, k, sizes, budget, None), None) is None
-
-
 def level1_intersection_check(g: PyramidGraph, k: int,
                               budget: SearchBudget | None = None) -> bool:
     """True iff every minimum k-PDS of WKP(C, 2) contains a level-1 vertex.

@@ -54,16 +54,17 @@ def check_fort_certificate(g: PyramidGraph, k: int, cert: Certificate) -> int:
     Reads only ``g.adjacency``.
     """
     adj, seen, total = g.adjacency, set(), 0
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be an int >= 0, got {k!r}")
     for c, forts in cert:
-        if c < 1 or not forts:
-            raise ValueError(f"a group needs a bound c >= 1 and a fort, got {c} and {len(forts)}")
+        if type(c) is not int or c < 1 or not forts:
+            raise ValueError(f"a group needs a bound c >= 1, an int, and a fort, "
+                             f"got {c!r} and {len(forts)}")
         closed = []
-        for fort in forts:
-            F = set(fort)
-            if not F or not all(0 <= v < len(adj) for v in F):
-                raise ValueError(f"a fort must be a nonempty set of ordinals, got {sorted(fort)}")
+        for F in forts:
+            if not isinstance(F, (set, frozenset)) or not F \
+                    or not all(type(v) is int and 0 <= v < len(adj) for v in F):
+                raise ValueError(f"a fort must be a nonempty set of ordinals, got {F!r}")
             NF = F.union(*(adj[v] for v in F))
             for u in NF - F:
                 if sum(x in F for x in adj[u]) <= k:

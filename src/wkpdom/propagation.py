@@ -198,11 +198,6 @@ class MonitorTrace:
         return self.round_count if self.covered else NEVER
 
 
-def closed_neighborhood(g: PyramidGraph, S: Iterable[int]) -> set[int]:
-    """Union of closed neighborhoods N[v] over v in S."""
-    return set(_closed(g.adjacency, _vertex_set(g, S), [NEVER] * g.n))
-
-
 def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrace:
     """Run rounds from the closed neighborhood of S until coverage or fixpoint."""
     check_k(k)

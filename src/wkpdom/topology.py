@@ -124,53 +124,38 @@ def format_address(address: Address) -> str:
     return "({},({}))".format(len(address), "".join(map(str, address)))
 
 
-_ADDRESS_RE = re.compile(r"\((\d+),\((\d*)\)\)")
+_ADDRESS_RE = re.compile(r"\(([0-9]+),\(([0-9]*)\)\)")
 
 
 def parse_address(text: str, C: int | None = None) -> Address:
     """The vertex of an address literal such as ``(2,(34))`` or the apex ``(0,(1))``.
 
-    Inverse of ``format_address``; the literal's level must equal its digit
-    count.  When ``C`` is given every digit is checked against [C]_0, and
-    C > 10 is refused: digits are single characters.
+    Inverse of ``format_address``: a literal (surrounding whitespace aside)
+    that ``format_address`` would not write, such as a level that is not the
+    digit count or is zero-padded, is refused.  When ``C`` is given every
+    digit is checked against [C]_0, and C > 10 is refused: digits are single
+    characters.
     """
     if C is not None:
         check_printable(C)
-    m = _ADDRESS_RE.fullmatch(text.strip())
+    literal = text.strip()
+    m = _ADDRESS_RE.fullmatch(literal)
     if m is None:
         raise AddressParseError(f"malformed address literal: {text!r}")
-    level = int(m.group(1))
-    raw = m.group(2)
-    if level == 0:
-        if raw != "1":
-            raise AddressParseError(f"the apex is written (0,(1)), got {text!r}")
-        return APEX
-    if len(raw) != level:
+    level, raw = m.groups()
+    digits = APEX if (level, raw) == ("0", "1") else tuple(int(ch) for ch in raw)
+    expected = format_address(digits)
+    if literal != expected:
         raise AddressParseError(
-            f"address {text!r}: digit string has length {len(raw)}, level is {level}"
+            f"address {text!r} should read {expected!r}: the level is the digit count "
+            f"without leading zeros, and the apex is written (0,(1))"
         )
-    digits = tuple(int(ch) for ch in raw)
     if C is not None:
         for d in digits:
             if d >= C:
                 raise AddressParseError(
                     f"address {text!r}: digit {d} out of range for C={C}"
                 )
-    return digits
-
-
-def as_digits(value: str | Iterable[int], C: int, *, what: str = "digit string") -> tuple[int, ...]:
-    """Normalize a digit-string argument (str of digit chars, or ints) to a tuple."""
-    try:
-        if isinstance(value, str):
-            digits = tuple(int(ch) for ch in value)
-        else:
-            digits = tuple(int(d) for d in value)
-    except (TypeError, ValueError):
-        raise ParameterDomainError(f"{what} {value!r} is not a digit sequence") from None
-    for d in digits:
-        if not 0 <= d < C:
-            raise ParameterDomainError(f"{what} {value!r}: digit {d} out of range for C={C}")
     return digits
 
 
@@ -369,41 +354,6 @@ def extreme_vertices(g: PyramidGraph) -> set[Address]:
     return {(a,) * r for r in range(1, g.L + 1) for a in range(g.C)}
 
 
-def gw_subgraph(g: PyramidGraph, w: str | Iterable[int]) -> set[Address]:
-    """Vertex set of the level-L block with prefix w: {w i j: i, j in [C]_0}.
-
-    The induced subgraph of any such block is isomorphic to WK(C, 2); the
-    blocks for all prefixes w partition level L.
-    """
-    if g.family != WKP:
-        raise ParameterDomainError("level-L blocks are defined on WKP graphs")
-    if g.L < 2:
-        raise ParameterDomainError("level-L blocks need L >= 2")
-    prefix = _block_prefix(g, w)
-    return {prefix + (i, j) for i in range(g.C) for j in range(g.C)}
-
-
-def _block_prefix(g: PyramidGraph, w: str | Iterable[int]) -> tuple[int, ...]:
-    prefix = as_digits(w, g.C, what="block prefix")
-    if len(prefix) != g.L - 2:
-        raise ParameterDomainError(
-            f"block prefix must have length L-2={g.L - 2}, got {len(prefix)}"
-        )
-    return prefix
-
-
-def clique_members(g: PyramidGraph, r: int, prefix: str | Iterable[int]) -> set[Address]:
-    """The C-clique at level r sharing a prefix: {prefix j: j in [C]_0}."""
-    if not 1 <= r <= g.L:
-        raise ParameterDomainError(f"level {r} out of range 1..{g.L}")
-    if g.family == WK and r != g.L:
-        raise ParameterDomainError("WK graphs only carry level L vertices")
-    p = as_digits(prefix, g.C, what="clique prefix")
-    if len(p) != r - 1:
-        raise ParameterDomainError(f"clique prefix must have length r-1={r - 1}, got {len(p)}")
-    return {p + (j,) for j in range(g.C)}
-
-
 def block_bridge(a: tuple[int, ...], b: tuple[int, ...],
                  C: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The level-L edge (u, v), u in block a and v in block b, as digit strings.
@@ -421,26 +371,6 @@ def block_bridge(a: tuple[int, ...], b: tuple[int, ...],
                 raise RuntimeError(f"blocks {a} and {b} share more than one edge")
             found = u, v
     return found
-
-
-def crossing_edge(g: PyramidGraph, w: str | Iterable[int],
-                  w2: str | Iterable[int]) -> tuple[int, int] | None:
-    """The unique level-L edge between the blocks of prefixes w and w2, if any.
-
-    The edge is an ordinal pair (i, j) with i < j, as in ``edge_list``; None
-    when the prefixes are not adjacent in WK(C, L-2); see ``block_bridge``.
-    """
-    if g.family != WKP or g.L < 3:
-        raise ParameterDomainError("crossing edges are defined on WKP graphs with L >= 3")
-    a = _block_prefix(g, w)
-    b = _block_prefix(g, w2)
-    if a == b:
-        raise ParameterDomainError("block prefixes must differ")
-    bridge = block_bridge(a, b, g.C)
-    if bridge is None:
-        return None
-    i, j = sorted(map(g.ordinal, bridge))
-    return i, j
 
 
 def export(g: PyramidGraph, format: str = "json") -> str:

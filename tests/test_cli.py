@@ -260,6 +260,16 @@ class TestVerify:
                       "--set", "(1,(9))")
         assert code == 2
 
+    @pytest.mark.parametrize("verb", ["verify", "trace"])
+    @pytest.mark.parametrize("literal", ["(1,(\u0663))", "(01,(1))", "(00,(1))"],
+                             ids=["arabic-indic-digit", "zero-padded-level", "zero-padded-apex"])
+    def test_literal_format_address_never_writes_exit_2(self, capsys, verb, literal):
+        code = main([verb, "--C", "4", "--L", "1", "--k", "1", "--set", literal])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_vertex_exit_2(self, capsys):
         code, _ = run(capsys, "verify", "--C", "3", "--L", "2", "--k", "1",
                       "--set", "(3,(000))")

@@ -177,20 +177,15 @@ class TestGeneralConstruction:
 
     def test_bridge_cliques_are_distinct_per_block(self):
         # each block's incoming and outgoing bridges attach at different cliques
-        from wkpdom.topology import crossing_edge
+        from wkpdom.topology import block_bridge
 
         for C, L in ((3, 3), (4, 3), (3, 4)):
-            g = build_wkp(C, L)
             cycle = ham_cycle_wk(C, L - 2)
             for t, block in enumerate(cycle):
-                edge_in = crossing_edge(g, cycle[t - 1], block)
-                edge_out = crossing_edge(g, block, cycle[(t + 1) % len(cycle)])
-                attach = []
-                for edge in (edge_in, edge_out):
-                    for v in edge:
-                        digits = g.address(v)
-                        if digits[: L - 2] == block:
-                            attach.append(digits[-1])
+                edge_in = block_bridge(cycle[t - 1], block, C)
+                edge_out = block_bridge(block, cycle[(t + 1) % len(cycle)], C)
+                attach = [digits[-1] for edge in (edge_in, edge_out) for digits in edge
+                          if digits[: L - 2] == block]
                 assert len(attach) == 2 and attach[0] != attach[1]
 
 

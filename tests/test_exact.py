@@ -18,7 +18,6 @@ from wkpdom import (
     level1_intersection_check,
     min_kpds,
     propagation_radius,
-    verify_lower_bound,
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
 from wkpdom.reference import naive_min_kpds
@@ -106,26 +105,6 @@ class TestRadius:
             propagation_radius(wkp32, 1, SearchBudget(max_subset_count=30))
 
 
-class TestLowerBound:
-    def test_two_level(self):
-        assert verify_lower_bound(build_wkp(4, 2), 1, 3)
-
-    def test_three_level(self):
-        assert verify_lower_bound(build_wkp(3, 3), 1, 3)
-
-    def test_vacuous(self, wkp32):
-        assert verify_lower_bound(wkp32, 1, 1)
-
-    def test_false_when_bound_too_high(self, wkp32):
-        assert not verify_lower_bound(wkp32, 1, 3)  # gamma is 2
-
-    def test_budget_exceeded(self):
-        g = build_wkp(4, 3)
-        with pytest.raises(BudgetExceededError) as exc:
-            verify_lower_bound(g, 1, 8, SearchBudget(max_subset_count=1000))
-        assert exc.value.gamma_exceeds >= 1
-
-
 class TestLevel1Intersection:
     @pytest.mark.parametrize("C,k", [(3, 1), (4, 2)])
     def test_holds(self, C, k):
@@ -202,17 +181,19 @@ def test_stored_later_rounds_agree_with_fresh_kernel(C, k):
 
 
 def test_later_rounds_store_is_bounded():
-    # 30,000 checks on WKP(4,5) at k=1 reach 11,594 distinct round-1 sets
-    # of 1,365 bits.  Kept to LATER_ROUNDS_CAP of them the search peaks near
-    # 1.1 MiB; kept all, it would peak near 2.7 MiB.
+    # 30,000 checks on WKP(4,5) at k=1, where gamma is 128, are all on sets of
+    # size 1 and 2 and reach 11,594 distinct round-1 sets of 1,365 bits.
+    # Kept to LATER_ROUNDS_CAP of them the search peaks near 1.1 MiB; kept
+    # all, it would peak near 2.7 MiB.
     g = build_wkp(4, 5)
     assert exact.LATER_ROUNDS_CAP < 11_594
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        with pytest.raises(BudgetExceededError):
-            verify_lower_bound(g, 1, 3, SearchBudget(max_subset_count=30_000))
+        with pytest.raises(BudgetExceededError) as exc:
+            min_kpds(g, 1, SearchBudget(max_subset_count=30_000))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert (exc.value.gamma_exceeds, exc.value.checks_performed) == (1, 30_000)
     assert peak < 2 * 2 ** 20

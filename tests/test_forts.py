@@ -116,15 +116,18 @@ class TestCheckerRejects:
         with pytest.raises(ValueError, match="is not a 1-fort"):
             check_fort_certificate(wkp43, 1, [group])
 
-    @pytest.mark.parametrize("bad", [frozenset(), frozenset({85}), frozenset({-1})],
-                             ids=["empty", "past-n", "negative"])
+    @pytest.mark.parametrize("bad", [frozenset(), frozenset({85}), frozenset({-1}),
+                                     frozenset({1.5}), frozenset({"1"}), 5],
+                             ids=["empty", "past-n", "negative", "float", "string", "not-a-set"])
     def test_a_fort_that_is_not_a_set_of_vertices(self, wkp43, cert43, bad):
         cert = self._groups(cert43)
         cert[0][1].append(bad)
         with pytest.raises(ValueError, match="nonempty set of ordinals"):
             check_fort_certificate(wkp43, 1, cert)
 
-    @pytest.mark.parametrize("group", [(0, [frozenset({1})]), (1, [])], ids=["bound-0", "no-fort"])
+    @pytest.mark.parametrize("group", [(0, [frozenset({1})]), (1, []),
+                                       (1.5, [frozenset({1})]), (2.0, [frozenset({1})])],
+                             ids=["bound-0", "no-fort", "bound-1.5", "bound-2.0"])
     def test_an_empty_group(self, wkp43, cert43, group):
         with pytest.raises(ValueError, match="needs a bound"):
             check_fort_certificate(wkp43, 1, cert43[:1] + [group])
@@ -132,6 +135,11 @@ class TestCheckerRejects:
     def test_a_negative_k(self, wkp43, cert43):
         with pytest.raises(ValueError, match="k must be"):
             check_fort_certificate(wkp43, -1, cert43)
+
+    @pytest.mark.parametrize("k", [1.5, "1"])
+    def test_a_k_that_is_not_an_int(self, wkp43, cert43, k):
+        with pytest.raises(ValueError, match="k must be"):
+            check_fort_certificate(wkp43, k, cert43)
 
     def test_a_dropped_group_lowers_the_total(self, wkp43, cert43):
         assert check_fort_certificate(wkp43, 1, cert43[1:]) == 6

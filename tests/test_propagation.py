@@ -15,7 +15,6 @@ from wkpdom import (
     RegimeError,
     build_wk,
     build_wkp,
-    closed_neighborhood,
     construct_kpds,
     exact,
     format_address,
@@ -69,19 +68,21 @@ class CountingRows(tuple):
 
 
 class TestClosedNeighborhood:
+    """Round 0 of a run is N[S], the union of N[v] over the seeds v."""
+
     def test_apex_covers_level_one(self, wkp52):
-        out = closed_neighborhood(wkp52, [wkp52.ordinal(APEX)])
+        out = propagate_fixpoint(wkp52, 1, [wkp52.ordinal(APEX)]).rounds[0]
         assert out == {wkp52.ordinal(APEX)} | set(wkp52.level_ordinals(1))
 
     def test_empty_seed(self, wkp32):
-        assert closed_neighborhood(wkp32, []) == set()
+        assert propagate_fixpoint(wkp32, 1, []).rounds[0] == set()
 
     def test_everything_absorbs(self, wkp32):
-        assert closed_neighborhood(wkp32, range(wkp32.n)) == set(range(wkp32.n))
+        assert propagate_fixpoint(wkp32, 0, range(wkp32.n)).rounds[0] == set(range(wkp32.n))
 
     def test_out_of_range_ordinal(self, wkp32):
         with pytest.raises(ParameterDomainError):
-            closed_neighborhood(wkp32, [wkp32.n])
+            propagate_fixpoint(wkp32, 1, [wkp32.n])
 
 
 class TestRound:
@@ -89,7 +90,7 @@ class TestRound:
         # (1,(0)) has exactly one unmonitored neighbor here; k=0 may not extend
         g = build_wkp(1, 4)
         seed = [g.ordinal(APEX)]
-        P0 = closed_neighborhood(g, seed)
+        P0 = naive_fixpoint_rounds(g, 0, seed)[0]
         assert propagate_fixpoint(g, 0, seed).rounds[1] == P0
         assert propagate_fixpoint(g, 1, seed).rounds[1] > P0
 
@@ -258,7 +259,7 @@ class TestPredicates:
     @settings(max_examples=60, deadline=None)
     def test_k0_is_domination(self, g, seed):
         seed = {v % g.n for v in seed}
-        dominating = closed_neighborhood(g, seed) == set(range(g.n))
+        dominating = naive_fixpoint_rounds(g, 0, seed)[0] == set(range(g.n))
         assert is_kpds(g, 0, seed) == dominating
 
 

@@ -14,17 +14,14 @@ from wkpdom import (
     ParameterDomainError,
     build_wk,
     build_wkp,
-    clique_members,
-    crossing_edge,
     export,
     extreme_vertices,
     format_address,
     graph_from_json,
-    gw_subgraph,
     parse_address,
 )
 from wkpdom.cli import main
-from wkpdom.topology import address_literals, export_pieces, rule2_partner
+from wkpdom.topology import address_literals, block_bridge, export_pieces, rule2_partner
 
 
 def wkp_count(C, L):
@@ -45,14 +42,30 @@ SWEEP = list(sweep_cases())
 LARGE_C = [("wkp", 7, 3), ("wkp", 10, 2), ("wk", 8, 3), ("wk", 10, 3)]
 
 
+def block(g, w):
+    """The level-L block with prefix w: {w i j : i, j in [C]_0}."""
+    return {w + (i, j) for i in range(g.C) for j in range(g.C)}
+
+
 def scan_crossing_edges(g, w, w2):
     """Brute-force crossing edge: test every vertex pair between the two blocks."""
-    side_a = sorted(g.ordinal(x) for x in gw_subgraph(g, w))
-    side_b = sorted(g.ordinal(x) for x in gw_subgraph(g, w2))
+    side_a = sorted(g.ordinal(x) for x in block(g, w))
+    side_b = sorted(g.ordinal(x) for x in block(g, w2))
     found = [(min(u, v), max(u, v)) for u in side_a for v in side_b
              if g.has_edge(u, v)]
     assert len(found) <= 1, f"blocks {w} and {w2} share {len(found)} edges"
     return found[0] if found else None
+
+
+def bridge_ordinals(g, w, w2):
+    """``block_bridge`` of the blocks w and w2 as an ordinal pair (i, j), i < j."""
+    bridge = block_bridge(w, w2, g.C)
+    if bridge is None:
+        return None
+    u, v = bridge
+    assert u[:-2] == w and v[:-2] == w2
+    i, j = sorted(map(g.ordinal, bridge))
+    return i, j
 
 
 def addresses(g):
@@ -295,73 +308,49 @@ class TestExtremeVertices:
 class TestBlocks:
     def test_block_of_wkp_3_3(self):
         g = build_wkp(3, 3)
-        block = gw_subgraph(g, "0")
-        assert block == {(0, i, j) for i in range(3) for j in range(3)}
-        ords = sorted(g.ordinal(a) for a in block)
+        ords = sorted(g.ordinal(a) for a in block(g, (0,)))
         induced = sum(1 for i in ords for j in ords if i < j and g.has_edge(i, j))
         assert induced == build_wk(3, 2).edge_count == 12
 
     def test_level_two_pyramid_has_one_block(self, wkp52):
-        block = gw_subgraph(wkp52, "")
-        assert block == {a for a in addresses(wkp52) if len(a) == 2}
-        assert len(block) == 25
+        assert block(wkp52, ()) == {a for a in addresses(wkp52) if len(a) == 2}
+        assert len(block(wkp52, ())) == 25
 
     def test_blocks_partition_the_top_level(self):
         g = build_wkp(3, 3)
-        blocks = [gw_subgraph(g, (w,)) for w in range(3)]
+        blocks = [block(g, (w,)) for w in range(3)]
         union = set().union(*blocks)
         assert union == {a for a in addresses(g) if len(a) == 3}
         assert sum(len(b) for b in blocks) == len(union)
 
-    def test_malformed_prefix(self):
-        g = build_wkp(3, 3)
-        with pytest.raises(ParameterDomainError):
-            gw_subgraph(g, "00")
-        with pytest.raises(ParameterDomainError):
-            gw_subgraph(g, "7")
-
 
 class TestCliqueMembers:
-    def test_level_two_clique(self, wkp52):
-        members = clique_members(wkp52, 2, "3")
-        assert members == {(3, j) for j in range(5)}
-        ords = [wkp52.ordinal(a) for a in members]
-        assert all(wkp52.has_edge(u, v) for u in ords for v in ords if u != v)
-
-    def test_level_three_triangle(self):
-        g = build_wkp(3, 3)
-        members = clique_members(g, 3, "01")
+    @staticmethod
+    def assert_complete(g, members):
         ords = [g.ordinal(a) for a in members]
-        assert len(ords) == 3
+        assert len(ords) == g.C
         assert all(g.has_edge(u, v) for u in ords for v in ords if u != v)
 
-    def test_level_one_clique(self, wkp32):
-        members = clique_members(wkp32, 1, "")
-        assert members == {(j,) for j in range(3)}
-        ords = [wkp32.ordinal(a) for a in members]
-        assert all(wkp32.has_edge(u, v) for u in ords for v in ords if u != v)
+    def test_level_two_clique(self, wkp52):
+        self.assert_complete(wkp52, {(3,) + (j,) for j in range(5)})
 
-    def test_malformed_prefix(self, wkp32):
-        with pytest.raises(ParameterDomainError):
-            clique_members(wkp32, 2, "")
-        with pytest.raises(ParameterDomainError):
-            clique_members(wkp32, 3, "00")
+    def test_level_three_triangle(self):
+        self.assert_complete(build_wkp(3, 3), {(0, 1) + (j,) for j in range(3)})
+
+    def test_level_one_clique(self, wkp32):
+        self.assert_complete(wkp32, {(j,) for j in range(3)})
 
 
 class TestCrossingEdge:
+    """The level-L edge between two blocks, as ``block_bridge`` finds it."""
+
     def test_adjacent_blocks_of_wkp_3_3(self):
+        assert block_bridge((0,), (1,), 3) == ((0, 1, 1), (1, 0, 0))
         g = build_wkp(3, 3)
-        u, v = crossing_edge(g, "0", "1")
-        assert {g.address(u), g.address(v)} == {(0, 1, 1), (1, 0, 0)}
+        assert g.has_edge(g.ordinal((0, 1, 1)), g.ordinal((1, 0, 0)))
 
     def test_non_adjacent_blocks_absent(self):
-        g = build_wkp(3, 4)
-        assert crossing_edge(g, "00", "11") is None
-
-    def test_same_block_rejected(self):
-        g = build_wkp(3, 3)
-        with pytest.raises(ParameterDomainError):
-            crossing_edge(g, "0", "0")
+        assert block_bridge((0, 0), (1, 1), 3) is None
 
     @pytest.mark.parametrize("C,L", [(2, 3), (3, 3), (4, 3), (3, 4), (4, 4),
                                      (5, 3), (2, 5), (3, 5)])
@@ -371,7 +360,7 @@ class TestCrossingEdge:
         for w in prefixes:
             for w2 in prefixes:
                 if w != w2:
-                    assert crossing_edge(g, w, w2) == scan_crossing_edges(g, w, w2)
+                    assert bridge_ordinals(g, w, w2) == scan_crossing_edges(g, w, w2)
 
     @pytest.mark.parametrize("C,L", [(2, 3), (3, 3), (3, 4), (2, 4)])
     def test_matches_contracted_mesh_adjacency(self, C, L):
@@ -382,7 +371,7 @@ class TestCrossingEdge:
             for j, w2 in enumerate(prefixes):
                 if i >= j:
                     continue
-                edge = crossing_edge(g, w, w2)
+                edge = bridge_ordinals(g, w, w2)
                 if contracted.has_edge(i, j):
                     assert edge is not None
                     for ordinal in edge:
@@ -572,7 +561,10 @@ class TestAddressGrammar:
         with pytest.raises(AddressParseError):
             parse_address("(2,(7))", C=5)
 
-    @pytest.mark.parametrize("bad", ["", "apex", "(2,34)", "((2),(34))", "(0,(2))"])
+    @pytest.mark.parametrize("bad", ["", "apex", "(2,34)", "((2),(34))", "(0,(2))",
+                                     "(1,(\u0663))", "(01,(1))", "(00,(1))",
+                                     # past int()'s 4,300-digit limit: the level is compared as text
+                                     pytest.param("(" + "1" * 5000 + ",(1))", id="level-5000-digits")])
     def test_malformed(self, bad):
         with pytest.raises(AddressParseError):
             parse_address(bad)
