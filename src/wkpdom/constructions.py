@@ -140,9 +140,11 @@ def _general(C: int, L: int, k: int) -> set[Address]:
     """
     cycle = ham_cycle_wk(C, L - 2)
     chosen: set[Address] = set()
+    # Each crossing edge is computed once: a block's outgoing edge is the
+    # next block's incoming one.
+    edge_in = block_bridge(cycle[-1], cycle[0], C)
     for t, block in enumerate(cycle):
         prev_block, next_block = cycle[t - 1], cycle[(t + 1) % len(cycle)]
-        edge_in = block_bridge(prev_block, block, C)
         edge_out = block_bridge(block, next_block, C)
         if edge_in is None or edge_out is None:
             raise ConstructionError(
@@ -159,6 +161,7 @@ def _general(C: int, L: int, k: int) -> set[Address]:
         spare = [c for c in range(C) if c not in (clique_in, clique_out)]
         for c in spare[: C - k - 2]:
             chosen.add(block + (c, 1 if c == 0 else 0))
+        edge_in = edge_out
     return chosen
 
 

@@ -57,9 +57,12 @@ def check_fort_certificate(g: PyramidGraph, k: int, cert: Certificate) -> int:
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be an int >= 0, got {k!r}")
     for c, forts in cert:
-        if type(c) is not int or c < 1 or not forts:
-            raise ValueError(f"a group needs a bound c >= 1, an int, and a fort, "
-                             f"got {c!r} and {len(forts)}")
+        # The forts' type is checked before they are read, so a malformed
+        # group is a ValueError, never a TypeError from ``len`` or ``for``.
+        if type(c) is not int or c < 1 \
+                or not isinstance(forts, (list, tuple, set, frozenset)) or not forts:
+            raise ValueError(f"a group needs a bound c >= 1, an int, and a nonempty "
+                             f"list of forts, got {c!r} and a {type(forts).__name__}")
         closed = []
         for F in forts:
             if not isinstance(F, (set, frozenset)) or not F \

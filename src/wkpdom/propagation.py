@@ -37,11 +37,13 @@ its radius, and the round of every vertex; ``is_kpds`` and
 ``radius_of_set`` return its ``covered`` and ``radius``.
 
 A trace has one JSON encoder, ``trace_fields`` written out by
-``json_text``.  Every address literal is quoted once, and each round's
-list is made from the round before only when the text before it has been
-taken, so ``construct`` and ``trace`` write a trace of any length a round
-at a time, never holding its rounds as lists or its document as one
-string.  ``trace_to_json`` reads the same text back.
+``json_text``.  The quoted address literals are joined once into one
+line, and each round is written as one slice of it per run of consecutive
+monitored ordinals, made only when the text before it has been taken: a
+round costs its number of runs plus one copy of its text, and
+``construct`` and ``trace`` write a trace of any length a round at a time,
+never holding its rounds as lists or its document as one string.
+``trace_to_json`` reads the same text back.
 
 An intentionally naive mirror of these semantics lives in ``reference``
 and is compared against this engine by the test suite, as is the
@@ -51,6 +53,7 @@ bit-parallel kernel of the exhaustive search in ``exact``.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -219,24 +222,36 @@ def radius_of_set(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
     return propagate_fixpoint(g, k, S).radius
 
 
-def _round_texts(quoted: list[str], trace: MonitorTrace) -> Iterator[str]:
+def _round_texts(literals: Sequence[str], trace: MonitorTrace) -> Iterator[str]:
     """JSON text of the list of rounds, made one round at a time as it is read.
 
     Each round is the list of the addresses it monitors, in ordinal order.
-    The vertices first monitored in round i are merged into the sorted list
-    of round i-1 (a sorted list plus a sorted run, which ``sort`` merges in
-    linear time), so every round costs its own length.
+    The quoted literals are joined once into one line, with the offset at
+    which each starts; a round is a few long runs of consecutive ordinals,
+    and each run is one slice of that line.  A byte per vertex marks the
+    monitored ones (each vertex is marked once, in the round it is first
+    monitored), and the runs are found with ``bytearray.find``; the last
+    byte is never set, so it closes every run.  A round therefore costs its
+    number of runs in Python plus one copy of its text.
     """
+    line = '"' + '", "'.join(literals) + '"'
+    at = [0, *itertools.accumulate(len(s) + 4 for s in literals)]
     fresh = [[] for _ in range(trace.round_count)]
     for v, s in enumerate(trace.first_step):
         if s != NEVER:
             fresh[s].append(v)
-    monitored = []
+    monitored = bytearray(len(literals) + 1)
     yield "["
     for i, new in enumerate(fresh):
-        monitored += new
-        monitored.sort()
-        yield (", [" if i else "[") + ", ".join(map(quoted.__getitem__, monitored)) + "]"
+        for v in new:
+            monitored[v] = 1
+        runs, b = [], 0
+        while (a := monitored.find(1, b)) >= 0:
+            b = monitored.find(0, a)
+            runs.append(line[at[a]:at[b] - 2])
+        yield ", [" if i else "["
+        yield ", ".join(runs)
+        yield "]"
     yield "]"
 
 
@@ -248,16 +263,17 @@ def radius_to_json(trace: MonitorTrace) -> int | None:
 def trace_fields(g: PyramidGraph, trace: MonitorTrace) -> dict:
     """Trace as {k, seed, rounds, radius} for ``json_text``; radius is null for a stuck run.
 
-    ``rounds`` is a one-shot iterator of JSON text, one piece per round
+    ``rounds`` is a one-shot iterator of JSON text, a few pieces per round
     (see ``_round_texts``), so the rounds are never held as lists.  Every
-    literal is quoted once: literals hold only digits, commas and
-    parentheses, so quoting is their JSON encoding.
+    round is sliced by runs from one quoted line of all the literals:
+    literals hold only digits, commas and parentheses, so quoting is their
+    JSON encoding.
     """
     literals = address_literals(g)
     return {
         "k": trace.k,
         "seed": [literals[v] for v in sorted(trace.seed)],
-        "rounds": _round_texts([f'"{s}"' for s in literals], trace),
+        "rounds": _round_texts(literals, trace),
         "radius": radius_to_json(trace),
     }
 

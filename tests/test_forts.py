@@ -126,8 +126,10 @@ class TestCheckerRejects:
             check_fort_certificate(wkp43, 1, cert)
 
     @pytest.mark.parametrize("group", [(0, [frozenset({1})]), (1, []),
-                                       (1.5, [frozenset({1})]), (2.0, [frozenset({1})])],
-                             ids=["bound-0", "no-fort", "bound-1.5", "bound-2.0"])
+                                       (1.5, [frozenset({1})]), (2.0, [frozenset({1})]),
+                                       (2, 5), (0, 5), (2, None)],
+                             ids=["bound-0", "no-fort", "bound-1.5", "bound-2.0",
+                                  "forts-an-int", "bound-0-forts-an-int", "forts-none"])
     def test_an_empty_group(self, wkp43, cert43, group):
         with pytest.raises(ValueError, match="needs a bound"):
             check_fort_certificate(wkp43, 1, cert43[:1] + [group])
