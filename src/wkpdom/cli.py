@@ -159,10 +159,10 @@ def _construct_payload(args: argparse.Namespace) -> dict:
     g = _pyramid(args)
     members, provenance = construct_kpds(args.C, args.L, args.k)
     trace = propagate_fixpoint(g, args.k, [g.ordinal(a) for a in members])
-    if not trace.covered:
+    fields = trace_fields(g, trace)
+    if fields["radius"] is None:  # the one read of ``trace.covered``, a scan of every vertex
         raise ConstructionError(
             f"construction for (C={args.C}, L={args.L}, k={args.k}) failed verification")
-    fields = trace_fields(g, trace)
     return {"C": args.C, "L": args.L, "k": args.k,
             "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json(),
             "set": fields["seed"], "size": len(trace.seed), "is_kpds": True,

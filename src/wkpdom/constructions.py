@@ -142,10 +142,10 @@ def _general(C: int, L: int, k: int) -> set[Address]:
     chosen: set[Address] = set()
     # Each crossing edge is computed once: a block's outgoing edge is the
     # next block's incoming one.
-    edge_in = block_bridge(cycle[-1], cycle[0], C)
+    edge_in = block_bridge(cycle[-1], cycle[0])
     for t, block in enumerate(cycle):
         prev_block, next_block = cycle[t - 1], cycle[(t + 1) % len(cycle)]
-        edge_out = block_bridge(block, next_block, C)
+        edge_out = block_bridge(block, next_block)
         if edge_in is None or edge_out is None:
             raise ConstructionError(
                 f"blocks {prev_block}->{block}->{next_block} are not consecutive-adjacent"

@@ -28,8 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .constructions import RegimeError
 from .topology import WKP, ParameterDomainError, PyramidGraph, address_list, check_k
@@ -47,15 +46,15 @@ LATER_ROUNDS_CAP = 4_096
 ProgressFn = Callable[[int, int, int], None]
 
 
-@dataclass(frozen=True)
 class SearchBudget:
     """Limit for one exhaustive-search call: at most ``max_subset_count`` fixpoint runs."""
 
-    max_subset_count: int = DEFAULT_MAX_CHECKS
+    __slots__ = ("max_subset_count",)
 
-    def __post_init__(self) -> None:
-        if self.max_subset_count < 1:
+    def __init__(self, max_subset_count: int = DEFAULT_MAX_CHECKS):
+        if max_subset_count < 1:
             raise ParameterDomainError("max_subset_count must be positive")
+        self.max_subset_count = max_subset_count
 
 
 class BudgetExceededError(RuntimeError):
@@ -71,8 +70,7 @@ class BudgetExceededError(RuntimeError):
         self.checks_performed = checks_performed
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """Outcome of ``min_kpds``.
 
     ``witnesses`` holds optimal sets up to the ``witness_cap`` of

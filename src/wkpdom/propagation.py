@@ -52,14 +52,12 @@ bit-parallel kernel of the exhaustive search in ``exact``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .topology import ParameterDomainError, PyramidGraph, address_literals, check_k
 
@@ -168,8 +166,7 @@ class _Rounds(Sequence):
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class MonitorTrace:
+class MonitorTrace(NamedTuple):
     """Record of one propagation run: when each vertex became monitored.
 
     ``first_step[v]`` is the round at which v became monitored (0 for the
@@ -190,9 +187,9 @@ class MonitorTrace:
     def rounds(self) -> Sequence[frozenset[int]]:
         return _Rounds(self.first_step, self.round_count)
 
-    @functools.cached_property
+    @property
     def covered(self) -> bool:
-        """True iff the last round monitors every vertex (one scan, then cached)."""
+        """True iff the last round monitors every vertex (one scan per read)."""
         return NEVER not in self.first_step
 
     @property

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import reference
 from .constructions import construct_kpds, ham_cycle_wk
@@ -39,8 +39,7 @@ BOUND_HOLDS = "bound-holds"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     criterion: int
     claim: str
     expected: str
@@ -52,8 +51,7 @@ class ReportRow:
         return self.status != FAIL
 
 
-@dataclass(frozen=True)
-class ReproReport:
+class ReproReport(NamedTuple):
     rows: tuple[ReportRow, ...]
 
     @property

@@ -34,7 +34,6 @@ vertex and edge lists that ``export`` writes for WK(C, L) or WKP(C, L).
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 import re
@@ -187,11 +186,14 @@ class PyramidGraph:
 
     def ordinal(self, address: Address) -> int:
         """offset(len(address)) + value(address); ParameterDomainError for a non-vertex."""
-        r = len(address)
+        r, C = len(address), self.C
         if not ((self.family == WKP or r == self.L) and r <= self.L
-                and all(0 <= d < self.C for d in address)):
+                and (not address or (min(address) >= 0 and max(address) < C))):
             raise ParameterDomainError(f"{format_address(address)} is not a vertex of {self!r}")
-        return self.offsets[r] + _value(address, self.C)
+        value = 0
+        for d in address:
+            value = value * C + d
+        return self.offsets[r] + value
 
     def address(self, i: int) -> Address:
         """Inverse of ``ordinal``; ParameterDomainError for an ordinal outside range(n)."""
@@ -231,11 +233,6 @@ def _level_offsets(family: str, C: int, L: int) -> tuple[int, ...]:
     """offsets[r] = ordinal of the first level-r vertex, r = 0..L+1; offsets[L+1] = n."""
     sizes = (C ** r if family == WKP or r == L else 0 for r in range(L + 1))
     return tuple(itertools.accumulate(sizes, initial=0))
-
-
-def _value(digits: tuple[int, ...], C: int) -> int:
-    """The digit string read as a base-C number."""
-    return functools.reduce(lambda x, d: x * C + d, digits, 0)
 
 
 def _check_parameters(family: str, C: int, L: int, max_vertices: int) -> None:
@@ -354,23 +351,22 @@ def extreme_vertices(g: PyramidGraph) -> set[Address]:
     return {(a,) * r for r in range(1, g.L + 1) for a in range(g.C)}
 
 
-def block_bridge(a: tuple[int, ...], b: tuple[int, ...],
-                 C: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def block_bridge(a: tuple[int, ...],
+                 b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The level-L edge (u, v), u in block a and v in block b, as digit strings.
 
     Cliques stay inside a block, so the only level-L edges leaving block a
-    are the rule-2 bridges of its strings a d d; of those C candidates, the
-    one whose partner has prefix b is the edge.  None if there is none.
+    are the rule-2 bridges of its strings a d d, and only one d can reach b.
+    For clique-mates (a and b differ in the last digit alone) it is b's last
+    digit: the bridge swaps the run d d with a's last digit, landing in
+    a[:-1] + (d,).  Otherwise it is a's last digit, whose run reaches into
+    a, since any other d lands in a clique-mate of a.  None if that bridge
+    does not end in block b.
     """
-    found = None
-    for d in range(C):
-        u = a + (d, d)
-        v = rule2_partner(u)
-        if v is not None and v[:-2] == b:
-            if found is not None:
-                raise RuntimeError(f"blocks {a} and {b} share more than one edge")
-            found = u, v
-    return found
+    d = b[-1] if a[:-1] == b[:-1] else a[-1]
+    u = a + (d, d)
+    v = rule2_partner(u)
+    return (u, v) if v is not None and v[:-2] == b else None
 
 
 def export(g: PyramidGraph, format: str = "json") -> str:

@@ -7,8 +7,6 @@ back ``match``: its upper bound by a verified construction, its lower bound
 by a block-fort certificate.
 """
 
-import dataclasses
-
 import pytest
 
 import wkpdom.report as paper_report
@@ -72,7 +70,7 @@ def test_round_row_fails_when_engine_rounds_leave_the_naive_ones(monkeypatch):
         trace = real(g, k, S)
         last = trace.round_count - 1
         stamps = tuple(s if s == NEVER else last for s in trace.first_step)
-        return dataclasses.replace(trace, first_step=stamps)
+        return trace._replace(first_step=stamps)
 
     monkeypatch.setattr(paper_report, "propagate_fixpoint", late)
     ok, computed = paper_report._prop_round_monotonicity()

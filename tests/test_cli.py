@@ -238,6 +238,24 @@ class TestBrokenPipe:
         assert err == b""
 
 
+class TestStartup:
+    def test_import_loads_no_introspection_or_fort_modules(self):
+        # Every verb is a fresh interpreter that pays for `import wkpdom.cli`;
+        # `dataclasses` drags in `inspect`, `ast`, `dis` and `tokenize`, and
+        # `forts` is imported only by the check that needs it.  Only what the
+        # import itself loads counts: a site hook may load `inspect` first.
+        src = Path(cli.__file__).resolve().parent.parent
+        probe = ("import sys; before = set(sys.modules); import wkpdom.cli; "
+                 "print(*set(sys.modules) - before)")
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+        assert out.returncode == 0, out.stderr
+        loaded = set(out.stdout.split())
+        assert "wkpdom.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "wkpdom.forts"}
+
+
 class TestVerify:
     def test_apex_is_not_enough(self, capsys):
         code, out = run(capsys, "verify", "--C", "3", "--L", "2", "--k", "1",
@@ -453,6 +471,22 @@ class TestEnvOverrides:
         code, _ = run(capsys, "verify", "--C", "3", "--L", "2", "--k", "1",
                       "--set", "(0,(1))", "--max-vertices", "13")
         assert code == 0
+
+    @pytest.mark.parametrize("argv,env", [
+        (["exact", "--C", "2", "--L", "2", "--k", "1", "--budget", "0"], None),
+        (["radius", "--C", "2", "--L", "2", "--k", "1", "--budget", "-1"], None),
+        (["check-paper"], "0"),
+    ], ids=["exact", "radius", "check-paper"])
+    def test_budget_below_one_exit_2(self, capsys, monkeypatch, argv, env):
+        if env is None:
+            monkeypatch.delenv("WKPDOM_MAX_CHECKS", raising=False)
+        else:
+            monkeypatch.setenv("WKPDOM_MAX_CHECKS", env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: max_subset_count must be positive\n"
 
     @pytest.mark.parametrize("argv", [["check-paper"],
                                       ["exact", "--C", "2", "--L", "2", "--k", "1"]])

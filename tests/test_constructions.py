@@ -182,8 +182,8 @@ class TestGeneralConstruction:
         for C, L in ((3, 3), (4, 3), (3, 4)):
             cycle = ham_cycle_wk(C, L - 2)
             for t, block in enumerate(cycle):
-                edge_in = block_bridge(cycle[t - 1], block, C)
-                edge_out = block_bridge(block, cycle[(t + 1) % len(cycle)], C)
+                edge_in = block_bridge(cycle[t - 1], block)
+                edge_out = block_bridge(block, cycle[(t + 1) % len(cycle)])
                 attach = [digits[-1] for edge in (edge_in, edge_out) for digits in edge
                           if digits[: L - 2] == block]
                 assert len(attach) == 2 and attach[0] != attach[1]

@@ -7,6 +7,7 @@ import pytest
 
 from wkpdom import (
     BudgetExceededError,
+    ParameterDomainError,
     RegimeError,
     SearchBudget,
     build_wkp,
@@ -75,6 +76,13 @@ class TestMinKpds:
             min_kpds(g, 1, SearchBudget(max_subset_count=100))
         assert exc.value.gamma_exceeds == 1
         assert exc.value.checks_performed == 100
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_budget_below_one_is_refused(self, cap):
+        with pytest.raises(ParameterDomainError, match="^max_subset_count must be positive$"):
+            SearchBudget(cap)
+        assert SearchBudget().max_subset_count == exact.DEFAULT_MAX_CHECKS
+        assert SearchBudget(1).max_subset_count == 1
 
     def test_json_shape(self, wkp32):
         doc = exact_result_to_json(wkp32, 1, min_kpds(wkp32, 1))

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -143,8 +142,7 @@ class TestFixpoint:
         assert len(trace.rounds) <= g.n + 1
 
     def test_trace_stores_first_step_only(self, wkp23):
-        assert [f.name for f in dataclasses.fields(MonitorTrace)] == \
-            ["k", "seed", "first_step", "round_count"]
+        assert list(MonitorTrace._fields) == ["k", "seed", "first_step", "round_count"]
         trace = propagate_fixpoint(wkp23, 1, [wkp23.ordinal(APEX)])
         rounds = tuple(trace.rounds)
         assert trace.rounds == rounds and rounds == trace.rounds

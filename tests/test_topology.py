@@ -59,7 +59,7 @@ def scan_crossing_edges(g, w, w2):
 
 def bridge_ordinals(g, w, w2):
     """``block_bridge`` of the blocks w and w2 as an ordinal pair (i, j), i < j."""
-    bridge = block_bridge(w, w2, g.C)
+    bridge = block_bridge(w, w2)
     if bridge is None:
         return None
     u, v = bridge
@@ -345,12 +345,12 @@ class TestCrossingEdge:
     """The level-L edge between two blocks, as ``block_bridge`` finds it."""
 
     def test_adjacent_blocks_of_wkp_3_3(self):
-        assert block_bridge((0,), (1,), 3) == ((0, 1, 1), (1, 0, 0))
+        assert block_bridge((0,), (1,)) == ((0, 1, 1), (1, 0, 0))
         g = build_wkp(3, 3)
         assert g.has_edge(g.ordinal((0, 1, 1)), g.ordinal((1, 0, 0)))
 
     def test_non_adjacent_blocks_absent(self):
-        assert block_bridge((0, 0), (1, 1), 3) is None
+        assert block_bridge((0, 0), (1, 1)) is None
 
     @pytest.mark.parametrize("C,L", [(2, 3), (3, 3), (4, 3), (3, 4), (4, 4),
                                      (5, 3), (2, 5), (3, 5)])
