@@ -174,10 +174,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = _pyramid(args)
     seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
     trace = propagate_fixpoint(g, args.k, seed)
+    radius = radius_to_json(trace)  # the one read of ``trace.covered``, a scan of every vertex
     payload = {"C": args.C, "L": args.L, "k": args.k,
                "set": address_list(g, trace.seed),
-               "is_kpds": trace.covered,
-               "radius": radius_to_json(trace)}
+               "is_kpds": radius is not None,
+               "radius": radius}
     _emit(payload, args)
     return EXIT_OK
 

@@ -113,6 +113,31 @@ def address_literals(g: PyramidGraph) -> list[str]:
     return literals
 
 
+def quoted_levels(g: PyramidGraph) -> list[tuple[str, int]]:
+    """The quoted literals of each printed level as one text, with their width (C <= 10).
+
+    A level's text is its quoted literals in ordinal order, joined by
+    ``", "``; every one of them is ``width`` characters long, so literal j
+    of the level starts at ``j * (width + 2)``.  The texts, joined by
+    ``", "``, are ``address_literals(g)`` quoted and joined the same way.
+    A level is built a clique at a time: the C literals that share a prefix
+    p are ``p.join(pieces)``, in time linear in their length.
+    """
+    check_printable(g.C)
+    digits = "0123456789"[:g.C]
+    if g.family == WK:
+        texts, levels = [], (g.L,)
+    else:
+        apex = f'"{format_address(APEX)}"'
+        texts, levels = [(apex, len(apex))], range(1, g.L + 1)
+    for r in levels:
+        head = f'"({r},('
+        pieces = [head, *[d + '))", ' + head for d in digits[:-1]], digits[-1] + '))"']
+        prefixes = map("".join, itertools.product(digits, repeat=r - 1))
+        texts.append((", ".join([p.join(pieces) for p in prefixes]), len(head) + r + 3))
+    return texts
+
+
 def format_address(address: Address) -> str:
     """The literal ``(r,(a_r...a_1))`` of a vertex, or ``(0,(1))`` for the apex.
 

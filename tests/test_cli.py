@@ -273,6 +273,25 @@ class TestVerify:
         assert doc["is_kpds"] is True
         assert doc["radius"] == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "(0,(1))"],
+        ["verify", "--set", "(1,(1)); (1,(2))"],
+        ["construct"],
+    ])
+    def test_coverage_is_scanned_once(self, capsys, monkeypatch, argv):
+        # ``covered`` scans every vertex's round on each read.
+        reads = []
+        scan = propagation.MonitorTrace.covered.fget
+
+        def counted(trace):
+            reads.append(trace)
+            return scan(trace)
+
+        monkeypatch.setattr(propagation.MonitorTrace, "covered", property(counted))
+        code, _ = run(capsys, *argv, "--C", "3", "--L", "2", "--k", "1")
+        assert code == 0
+        assert len(reads) == 1
+
     def test_malformed_address_exit_2(self, capsys):
         code, _ = run(capsys, "verify", "--C", "3", "--L", "2", "--k", "1",
                       "--set", "(1,(9))")

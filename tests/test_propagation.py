@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from wkpdom import (
     trace_to_json,
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
+from wkpdom.propagation import json_text, trace_fields
 from wkpdom.reference import naive_fixpoint_rounds, naive_is_kpds, naive_radius
 
 GRAPHS = [build_wkp(3, 2), build_wkp(2, 3)]
@@ -296,10 +298,11 @@ class TestCertificates:
 
 
 #: Larger graphs and the k of the closed-form set whose trace they are tested
-#: on: the general set of WKP(3,5) at k=1 and the spine of WKP(4,4) at k=3.
-#: Their rounds are many long runs of ordinals, and the runs cross level
-#: boundaries, where literal widths change.
-LONG_RUNS = {("wkp", 3, 5): 1, ("wkp", 4, 4): 3}
+#: on: the general set of WKP(3,5) at k=1, the spine of WKP(4,4) at k=3 and
+#: the apex of the path WKP(1,12) at k=1.  Their rounds are many long runs of
+#: ordinals, and the runs cross level boundaries, where literal widths
+#: change; WKP(1,12)'s cross from level 9 into the two-digit levels.
+LONG_RUNS = {("wkp", 3, 5): 1, ("wkp", 4, 4): 3, ("wkp", 1, 12): 1}
 
 
 @pytest.mark.parametrize("family,C,L", list(small_graphs()) + list(LONG_RUNS))
@@ -319,3 +322,21 @@ def test_trace_json_rounds_list_every_round(family, C, L):
         assert trace_to_json(g, trace)["rounds"] == [
             [format_address(g.address(v)) for v in sorted(r)] for r in trace.rounds]
     assert outcomes == ({True} if (family, C, L) in LONG_RUNS else {True, False})
+
+
+def test_trace_encoding_holds_no_literal_per_vertex():
+    # WKP(4,7) at k=3: 127 rounds of up to 21,845 addresses.  Encoding holds
+    # one quoted line of all the literals, its offsets and one round's text
+    # at a time, about 2.6 MiB; a list of 21,845 literal strings alone would
+    # add about 1.4 MiB.
+    g = build_wkp(4, 7)
+    trace = propagate_fixpoint(g, 3, ordinals(g, construct_kpds(4, 7, 3)[0]))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in json_text(trace_fields(g, trace)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4 * 2 ** 20

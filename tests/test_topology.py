@@ -21,7 +21,8 @@ from wkpdom import (
     parse_address,
 )
 from wkpdom.cli import main
-from wkpdom.topology import address_literals, block_bridge, export_pieces, rule2_partner
+from wkpdom.topology import (address_literals, block_bridge, export_pieces, quoted_levels,
+                             rule2_partner)
 
 
 def wkp_count(C, L):
@@ -214,10 +215,36 @@ class TestAddressLiterals:
         assert literals == ["(300000,(" + "0" * 300_000 + "))"]
         assert elapsed < 0.5
 
+    # Levels 10 and up write a two-digit level number, so the width of a
+    # quoted literal grows by two at level 10, not by one.
+    @pytest.mark.parametrize("family,C,L", [("wkp", 1, 15), ("wkp", 2, 10), ("wk", 2, 10),
+                                            ("wkp", 10, 2), ("wk", 10, 2)])
+    def test_quoted_levels_slice_into_the_literals(self, family, C, L):
+        g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+        levels = quoted_levels(g)
+        sliced = []
+        for text, width in levels:
+            starts = range(0, len(text) + 2, width + 2)
+            assert starts[-1] == len(text) + 2 - (width + 2)
+            sliced += [text[j + 1:j + width - 1] for j in starts]
+        assert sliced == address_literals(g)
+        assert ", ".join(text for text, _ in levels) == '"' + '", "'.join(sliced) + '"'
+
+    def test_one_vertex_mesh_quoted_level_is_linear_in_its_length(self):
+        g = build_wk(1, 300_000)
+        start = time.perf_counter()
+        levels = quoted_levels(g)
+        elapsed = time.perf_counter() - start
+        literal = '"(300000,(' + "0" * 300_000 + '))"'
+        assert levels == [(literal, len(literal))]
+        assert elapsed < 0.5
+
     @pytest.mark.parametrize("builder", [build_wk, build_wkp])
     def test_c_above_10_is_refused(self, builder):
         with pytest.raises(ParameterDomainError):
             address_literals(builder(11, 1))
+        with pytest.raises(ParameterDomainError):
+            quoted_levels(builder(11, 1))
 
 
 class TestOrdinals:
