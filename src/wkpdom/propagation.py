@@ -37,16 +37,15 @@ its radius, and the round of every vertex; ``is_kpds`` and
 ``radius_of_set`` return its ``covered`` and ``radius``.
 
 A trace has one JSON encoder, ``trace_fields`` written out by
-``json_text``.  It joins the quoted literals of each printed level, one
-text per level from ``topology.quoted_levels``, into one line; every
-literal of a level has the same width, so where each starts is one
-``range`` per level, and no string is ever made per vertex.  The seed is
-sliced from the line a literal at a time, and each round one slice per
-run of consecutive monitored ordinals, made only when the text before it
-has been taken: a round costs its number of runs plus one copy of its
-text, and ``construct`` and ``trace`` write a trace of any length a round
-at a time, never holding its rounds as lists or its document as one
-string.  ``trace_to_json`` reads the same text back.
+``json_text``.  It slices the line of every quoted literal that
+``topology.quoted_line`` builds, with the offset where each starts, and
+makes no string per vertex.  The seed is sliced from the line a literal
+at a time, and each round one slice per run of consecutive monitored
+ordinals, made only when the text before it has been taken: a round
+costs its number of runs plus one copy of its text, and ``construct``
+and ``trace`` write a trace of any length a round at a time, never
+holding its rounds as lists or its document as one string.
+``trace_to_json`` reads the same text back.
 
 An intentionally naive mirror of these semantics lives in ``reference``
 and is compared against this engine by the test suite, as is the
@@ -61,7 +60,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from typing import Iterable, NamedTuple
 
-from .topology import ParameterDomainError, PyramidGraph, check_k, quoted_levels
+from .topology import ParameterDomainError, PyramidGraph, check_k, quoted_line
 
 #: Radius / first-step sentinel for "never monitored".
 NEVER = math.inf
@@ -221,30 +220,11 @@ def radius_of_set(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
     return propagate_fixpoint(g, k, S).radius
 
 
-def _quoted_line(g: PyramidGraph) -> tuple[str, list[int]]:
-    """Every quoted literal, joined by ", " into one line, and where each starts.
-
-    The line is the texts of ``quoted_levels`` joined by ", ".  ``at[v]`` is
-    the offset of the opening quote of ordinal v: one ``range`` per level,
-    whose literals all have the same width, and then ``at[n]``, two past
-    the end of the line.  So ordinals a..b-1 are ``line[at[a]:at[b] - 2]``,
-    and the literal of v alone is ``line[at[v] + 1:at[v + 1] - 3]``.
-    """
-    levels = quoted_levels(g)
-    at, start = [], 0
-    for text, width in levels:
-        end = start + len(text) + 2
-        at += range(start, end, width + 2)
-        start = end
-    at.append(start)
-    return ", ".join([text for text, _ in levels]), at
-
-
 def _round_texts(line: str, at: list[int], trace: MonitorTrace) -> Iterator[str]:
     """JSON text of the list of rounds, made one round at a time as it is read.
 
     Each round is the list of the addresses it monitors, in ordinal order.
-    ``line`` and ``at`` come from ``_quoted_line``; a round is a few long
+    ``line`` and ``at`` come from ``quoted_line``; a round is a few long
     runs of consecutive ordinals, and each run is one slice of the line.
     A byte per vertex marks the monitored ones (each vertex is marked once,
     in the round it is first monitored), and the runs are found with
@@ -282,10 +262,10 @@ def trace_fields(g: PyramidGraph, trace: MonitorTrace) -> dict:
     ``rounds`` is a one-shot iterator of JSON text, a few pieces per round
     (see ``_round_texts``), so the rounds are never held as lists.  The
     seed and every round are sliced from one quoted line of all the
-    literals (``_quoted_line``): literals hold only digits, commas and
+    literals (``quoted_line``): literals hold only digits, commas and
     parentheses, so quoting is their JSON encoding.
     """
-    line, at = _quoted_line(g)
+    line, at = quoted_line(g)
     return {
         "k": trace.k,
         "seed": [line[at[v] + 1:at[v + 1] - 3] for v in sorted(trace.seed)],

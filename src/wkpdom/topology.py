@@ -93,49 +93,40 @@ def address_list(g: PyramidGraph, ordinals: Iterable[int]) -> list[str]:
     return [format_address(g.address(v)) for v in sorted(ordinals)]
 
 
-def address_literals(g: PyramidGraph) -> list[str]:
-    """The literal of every vertex, indexed by ordinal (C <= 10).
+def quoted_line(g: PyramidGraph) -> tuple[str, list[int]]:
+    """Every vertex's quoted literal on one line, and where each starts (C <= 10).
 
-    Equal to ``[format_address(g.address(i)) for i in range(g.n)]``, but a
-    literal costs one string join instead of a format call: each printed
-    level's strings come from ``itertools.product``, in time linear in their
-    length.  WK prints level L only; WKP prints the apex and levels 1..L.
+    The line is what ``json.dumps`` writes for the list of literals in
+    ordinal order, less its brackets: the quoted literals joined by
+    ``", "``.  ``at[v]`` is the offset of the opening quote of ordinal v,
+    and ``at[n]`` is two past the end of the line, so:
+
+    * ordinals a..b-1 are ``line[at[a]:at[b] - 2]``;
+    * the literal of v alone is ``line[at[v] + 1:at[v + 1] - 3]``.
+
+    WK prints level L only; WKP prints the apex and levels 1..L.  Every
+    literal of a level has the same width, so ``at`` is one ``range`` per
+    level.  A level is built a rule-1 clique at a time: the C literals that
+    share a prefix p are ``p.join(pieces)`` for C+1 constant pieces, in time
+    linear in their length.
     """
     check_printable(g.C)
     digits = "0123456789"[:g.C]
     if g.family == WK:
-        literals, levels = [], (g.L,)
-    else:
-        literals, levels = [format_address(APEX)], range(1, g.L + 1)
-    for r in levels:
-        head = f"({r},("
-        literals += [head + "".join(s) + "))" for s in itertools.product(digits, repeat=r)]
-    return literals
-
-
-def quoted_levels(g: PyramidGraph) -> list[tuple[str, int]]:
-    """The quoted literals of each printed level as one text, with their width (C <= 10).
-
-    A level's text is its quoted literals in ordinal order, joined by
-    ``", "``; every one of them is ``width`` characters long, so literal j
-    of the level starts at ``j * (width + 2)``.  The texts, joined by
-    ``", "``, are ``address_literals(g)`` quoted and joined the same way.
-    A level is built a clique at a time: the C literals that share a prefix
-    p are ``p.join(pieces)``, in time linear in their length.
-    """
-    check_printable(g.C)
-    digits = "0123456789"[:g.C]
-    if g.family == WK:
-        texts, levels = [], (g.L,)
+        texts, at, start, levels = [], [], 0, (g.L,)
     else:
         apex = f'"{format_address(APEX)}"'
-        texts, levels = [(apex, len(apex))], range(1, g.L + 1)
+        texts, at, start, levels = [apex], [0], len(apex) + 2, range(1, g.L + 1)
     for r in levels:
         head = f'"({r},('
         pieces = [head, *[d + '))", ' + head for d in digits[:-1]], digits[-1] + '))"']
         prefixes = map("".join, itertools.product(digits, repeat=r - 1))
-        texts.append((", ".join([p.join(pieces) for p in prefixes]), len(head) + r + 3))
-    return texts
+        texts.append(", ".join([p.join(pieces) for p in prefixes]))
+        end = start + len(texts[-1]) + 2
+        at += range(start, end, len(head) + r + 5)  # a quoted literal and its ", "
+        start = end
+    at.append(start)
+    return ", ".join(texts), at
 
 
 def format_address(address: Address) -> str:
@@ -399,29 +390,21 @@ def export(g: PyramidGraph, format: str = "json") -> str:
     return "".join(export_pieces(g, format))
 
 
-#: Vertices per piece of the JSON vertex list that ``export_pieces`` writes.
-_VERTICES_PER_PIECE = 512
-
-
 def export_pieces(g: PyramidGraph, format: str = "json") -> Iterator[str]:
     """The text of ``export`` in pieces, for writing as it is made.
 
     JSON, the bytes ``json.dumps`` makes of the whole document, is the
-    header, the vertex list's opening bracket, its quoted literals
-    ``_VERTICES_PER_PIECE`` at a time, its closing bracket, the edges key,
-    one piece per vertex that has edges to higher ordinals, and the closing
-    brackets; DOT is one line per vertex, then one piece per vertex with its
-    edges to higher ordinals.
+    header, the vertex list as ``"["``, ``quoted_line(g)[0]`` and ``"]"``,
+    the edges key, one piece per vertex that has edges to higher ordinals,
+    and the closing brackets; DOT is one line per vertex, then one piece
+    per vertex with its edges to higher ordinals.
     """
-    literals = address_literals(g)
     if format == "json":
+        # Literals hold only digits, commas and parentheses: quoted, they are JSON.
+        line = quoted_line(g)[0]
         yield json.dumps({"family": g.family, "C": g.C, "L": g.L})[:-1] + ', "vertices": '
         yield "["
-        # Literals hold only digits, commas and parentheses: quoted, they are JSON.
-        sep = '"'
-        for start in range(0, len(literals), _VERTICES_PER_PIECE):
-            yield sep + '", "'.join(literals[start:start + _VERTICES_PER_PIECE]) + '"'
-            sep = ', "'
+        yield line
         yield "]"
         yield ', "edges": ['
         sep = ""
@@ -432,12 +415,14 @@ def export_pieces(g: PyramidGraph, format: str = "json") -> Iterator[str]:
                 sep = ", "
         yield "]}\n"
     elif format == "dot":
+        # A literal never contains ", ", so the line splits into the quoted literals.
+        literals = quoted_line(g)[0].split(", ")
         yield f'graph "{g.family}({g.C},{g.L})" {{\n'
         for a in literals:
-            yield f'  "{a}";\n'
+            yield f"  {a};\n"
         for i, nbrs in enumerate(g.adjacency):
-            head = f'  "{literals[i]}" -- "'
-            yield "".join([f'{head}{literals[j]}";\n' for j in nbrs if i < j])
+            head = f"  {literals[i]} -- "
+            yield "".join([f"{head}{literals[j]};\n" for j in nbrs if i < j])
         yield "}\n"
     else:
         raise ParameterDomainError(f"unknown export format {format!r}")
@@ -467,6 +452,8 @@ def graph_from_json(data: bytes | str) -> PyramidGraph:
     if not isinstance(last, str) or len(parse_address(last, C)) != L:
         raise ParameterDomainError(f"graph JSON does not list level L={L} last")
     g = builder(C, L, max_vertices=len(listed))
-    if listed != address_literals(g) or list(map(list, g.edge_list())) != edges:
+    # With default separators, json.dumps spells a list of strings as the
+    # bracketed line, so any other entry or order makes the texts differ.
+    if json.dumps(listed) != f"[{quoted_line(g)[0]}]" or list(map(list, g.edge_list())) != edges:
         raise ParameterDomainError(f"graph JSON does not list the vertices and edges of {g!r}")
     return g

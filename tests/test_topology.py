@@ -21,8 +21,7 @@ from wkpdom import (
     parse_address,
 )
 from wkpdom.cli import main
-from wkpdom.topology import (address_literals, block_bridge, export_pieces, quoted_levels,
-                             rule2_partner)
+from wkpdom.topology import block_bridge, export_pieces, quoted_line, rule2_partner
 
 
 def wkp_count(C, L):
@@ -201,18 +200,22 @@ class TestAddressLiterals:
                                                     ("wkp", 10, 2), ("wk", 10, 3)])
     def test_literals_are_the_printed_addresses(self, family, C, L):
         g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
-        literals = address_literals(g)
+        line, at = quoted_line(g)
+        literals = [line[at[v] + 1:at[v + 1] - 3] for v in range(g.n)]
         assert literals == [format_address(a) for a in addresses(g)]
         assert [parse_address(s, C) for s in literals] == addresses(g)
+        assert at[g.n] == len(line) + 2
+        assert f"[{line}]" == json.dumps(literals)
 
     def test_one_vertex_mesh_literal_is_linear_in_its_length(self):
         # WK(1, L) has one vertex for every L; growing all L levels of
         # strings to print it copies O(L^2) characters.
         g = build_wk(1, 300_000)
         start = time.perf_counter()
-        literals = address_literals(g)
+        line, at = quoted_line(g)
+        literal = line[at[0] + 1:at[1] - 3]
         elapsed = time.perf_counter() - start
-        assert literals == ["(300000,(" + "0" * 300_000 + "))"]
+        assert literal == "(300000,(" + "0" * 300_000 + "))"
         assert elapsed < 0.5
 
     # Levels 10 and up write a two-digit level number, so the width of a
@@ -221,30 +224,29 @@ class TestAddressLiterals:
                                             ("wkp", 10, 2), ("wk", 10, 2)])
     def test_quoted_levels_slice_into_the_literals(self, family, C, L):
         g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
-        levels = quoted_levels(g)
-        sliced = []
-        for text, width in levels:
-            starts = range(0, len(text) + 2, width + 2)
-            assert starts[-1] == len(text) + 2 - (width + 2)
-            sliced += [text[j + 1:j + width - 1] for j in starts]
-        assert sliced == address_literals(g)
-        assert ", ".join(text for text, _ in levels) == '"' + '", "'.join(sliced) + '"'
+        line, at = quoted_line(g)
+        literals = [format_address(a) for a in addresses(g)]
+        assert at[g.n] == len(line) + 2
+        # Each vertex's offset steps by its own quoted literal and ", ".
+        assert [at[v + 1] - at[v] for v in range(g.n)] == [len(s) + 4 for s in literals]
+        assert [line[at[v] + 1:at[v + 1] - 3] for v in range(g.n)] == literals
+        # A run of ordinals a..b-1 slices as its quoted literals joined by ", ".
+        for a, b in [(0, g.n), (0, 1), (g.n - 1, g.n), (g.n // 3, 2 * g.n // 3 + 1)]:
+            assert line[at[a]:at[b] - 2] == ", ".join(f'"{s}"' for s in literals[a:b])
 
     def test_one_vertex_mesh_quoted_level_is_linear_in_its_length(self):
         g = build_wk(1, 300_000)
         start = time.perf_counter()
-        levels = quoted_levels(g)
+        line, at = quoted_line(g)
         elapsed = time.perf_counter() - start
         literal = '"(300000,(' + "0" * 300_000 + '))"'
-        assert levels == [(literal, len(literal))]
+        assert (line, at) == (literal, [0, len(literal) + 2])
         assert elapsed < 0.5
 
     @pytest.mark.parametrize("builder", [build_wk, build_wkp])
     def test_c_above_10_is_refused(self, builder):
         with pytest.raises(ParameterDomainError):
-            address_literals(builder(11, 1))
-        with pytest.raises(ParameterDomainError):
-            quoted_levels(builder(11, 1))
+            quoted_line(builder(11, 1))
 
 
 class TestOrdinals:
@@ -467,25 +469,24 @@ class TestExport:
         assert [json.loads(f"[{piece.lstrip(', ')}]") for piece in pieces[edges_key + 1:-1]] == \
             [row for row in rows if row]
 
-    def test_json_vertex_list_is_written_in_bounded_pieces(self):
+    def test_json_vertex_list_is_the_quoted_line(self):
         g = build_wkp(4, 5)
         pieces = list(export_pieces(g, "json"))
         assert "".join(pieces) == export(g, "json")
-        start, end = pieces.index("["), pieces.index("]")
-        listed = json.loads("[" + "".join(pieces[start + 1:end]) + "]")
-        assert listed == address_literals(g)
-        counts = [len(json.loads(f"[{piece.lstrip(', ')}]")) for piece in pieces[start + 1:end]]
-        assert counts == [512] * (g.n // 512) + [g.n % 512]
+        start = pieces.index("[")
+        assert pieces[start:start + 3] == ["[", quoted_line(g)[0], "]"]
+        assert json.loads("".join(pieces[start:start + 3])) == \
+            [format_address(a) for a in addresses(g)]
 
-    def test_json_edges_are_not_held_at_once(self):
-        # WKP(4,7)'s 65,518 edge tuples take 4.5 MiB as one list, and its
-        # 21,845 quoted vertex literals 0.3 MiB as one string; once the
-        # header is out, the rest holds a bounded number of vertices or one
-        # row at a time.
+    @pytest.mark.parametrize("format", ["json", "dot"])
+    def test_json_edges_are_not_held_at_once(self, format):
+        # WKP(4,7)'s 65,518 edge tuples take 4.5 MiB as one list; its
+        # 21,845 quoted vertex literals are made before the header, and
+        # once that is out, the rest holds one row at a time.
         g = build_wkp(4, 7)
         tracemalloc.start()
         try:
-            pieces = export_pieces(g, "json")
+            pieces = export_pieces(g, format)
             next(pieces)
 
             tracemalloc.reset_peak()
@@ -562,6 +563,19 @@ class TestGraphFromJson:
         corrupt(doc)
         with pytest.raises(ParameterDomainError):
             graph_from_json(json.dumps(doc))
+
+    def test_vertex_list_is_compared_as_json_text(self):
+        # The listed literals are compared with the quoted line once json
+        # has decoded them, so other spacing and escapes are accepted.
+        g = build_wkp(3, 2)
+        text = export(g, "json")
+        doc = json.loads(text)
+        assert graph_from_json(json.dumps(doc, indent=1)) == g
+        assert graph_from_json(text.replace('"(', '"\\u0028')) == g
+        listed = doc["vertices"]
+        for vertices in ([*listed[:-1], listed[-1] + " "], [listed[0], [listed[1]], *listed[2:]]):
+            with pytest.raises(ParameterDomainError):
+                graph_from_json(json.dumps(dict(doc, vertices=vertices)))
 
     def test_unparsable_document_is_refused(self):
         with pytest.raises(ParameterDomainError, match="^malformed graph JSON"):
