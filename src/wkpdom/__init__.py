@@ -30,7 +30,6 @@ from .propagation import (
     is_kpds,
     propagate_fixpoint,
     radius_of_set,
-    trace_to_json,
 )
 from .report import ReportRow, ReproReport, run_check_paper
 from .topology import (
@@ -92,5 +91,4 @@ __all__ = [
     "radius_of_set",
     "regime_of",
     "run_check_paper",
-    "trace_to_json",
 ]

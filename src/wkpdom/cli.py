@@ -33,7 +33,7 @@ from .exact import (
     min_kpds,
     propagation_radius,
 )
-from .propagation import json_text, propagate_fixpoint, radius_to_json, trace_fields
+from .propagation import MonitorTrace, json_text, propagate_fixpoint, radius_to_json, trace_fields
 from .report import report_to_json_text, run_check_paper
 from .topology import (
     DEFAULT_MAX_VERTICES,
@@ -65,8 +65,10 @@ EXIT_CODES = {
 }
 
 
-def _env_int(name: str, fallback: int) -> int:
-    """Integer value of environment variable ``name``, or ``fallback`` when unset."""
+def _setting(given: int | None, name: str, fallback: int) -> int:
+    """A flag's ``given`` value, else env variable ``name`` as an integer, else ``fallback``."""
+    if given is not None:
+        return given
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -85,16 +87,11 @@ def parse_seed_set(text: str, C: int) -> list[Address]:
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    cap = args.budget
-    if cap is None:
-        cap = _env_int("WKPDOM_MAX_CHECKS", DEFAULT_MAX_CHECKS)
-    return SearchBudget(max_subset_count=cap)
+    return SearchBudget(_setting(args.budget, "WKPDOM_MAX_CHECKS", DEFAULT_MAX_CHECKS))
 
 
 def _max_vertices(args: argparse.Namespace) -> int:
-    if args.max_vertices is not None:
-        return args.max_vertices
-    return _env_int("WKPDOM_MAX_VERTICES", DEFAULT_MAX_VERTICES)
+    return _setting(args.max_vertices, "WKPDOM_MAX_VERTICES", DEFAULT_MAX_VERTICES)
 
 
 def _pyramid(args: argparse.Namespace) -> PyramidGraph:
@@ -159,27 +156,28 @@ def _construct_payload(args: argparse.Namespace) -> dict:
     g = _pyramid(args)
     members, provenance = construct_kpds(args.C, args.L, args.k)
     trace = propagate_fixpoint(g, args.k, [g.ordinal(a) for a in members])
-    fields = trace_fields(g, trace)
-    if fields["radius"] is None:  # the one read of ``trace.covered``, a scan of every vertex
+    if not trace.covered:
         raise ConstructionError(
             f"construction for (C={args.C}, L={args.L}, k={args.k}) failed verification")
+    fields = trace_fields(g, trace)
     return {"C": args.C, "L": args.L, "k": args.k,
             "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json(),
             "set": fields["seed"], "size": len(trace.seed), "is_kpds": True,
-            "radius": fields["radius"], "provenance": provenance, "trace": fields}
+            "radius": trace.radius, "provenance": provenance, "trace": fields}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _seed_run(args: argparse.Namespace) -> tuple[PyramidGraph, MonitorTrace]:
+    """The graph and the run from the seed set ``--set``, for ``verify`` and ``trace``."""
     check_printable(args.C)  # before the build whose addresses could not be parsed
     g = _pyramid(args)
     seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
-    trace = propagate_fixpoint(g, args.k, seed)
-    radius = radius_to_json(trace)  # the one read of ``trace.covered``, a scan of every vertex
-    payload = {"C": args.C, "L": args.L, "k": args.k,
-               "set": address_list(g, trace.seed),
-               "is_kpds": radius is not None,
-               "radius": radius}
-    _emit(payload, args)
+    return g, propagate_fixpoint(g, args.k, seed)
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    g, trace = _seed_run(args)
+    _emit({"C": args.C, "L": args.L, "k": args.k, "set": address_list(g, trace.seed),
+           "is_kpds": trace.covered, "radius": radius_to_json(trace)}, args)
     return EXIT_OK
 
 
@@ -200,11 +198,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    check_printable(args.C)  # before the build whose addresses could not be parsed
-    g = _pyramid(args)
-    seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
-    trace = propagate_fixpoint(g, args.k, seed)
-    _emit(trace_fields(g, trace), args)
+    _emit(trace_fields(*_seed_run(args)), args)
     return EXIT_OK
 
 

@@ -32,9 +32,12 @@ once, and fires with an unmonitored neighbor at most once, so a whole run
 reads |S| rows for N[S], n for the initial counts, at most n to count new
 vertices and at most min(n, 2|E|) to fire: at most |S| + 2n + 2|E| rows
 and O(n + |E|) work, however many rounds it takes.  No n-bit set is ever
-built.  ``MonitorTrace`` is the one result of a run: whether it covers,
-its radius, and the round of every vertex; ``is_kpds`` and
-``radius_of_set`` return its ``covered`` and ``radius``.
+built.  The loop ends once it has counted n monitored vertices or a
+round monitors nothing new, so it knows its verdict when it stops.
+``MonitorTrace`` is the one result of a run: the round of every vertex
+and that verdict, stored as ``covered``, from which ``radius`` follows;
+``is_kpds`` and ``radius_of_set`` return its ``covered`` and ``radius``
+without a scan.
 
 A trace has one JSON encoder, ``trace_fields`` written out by
 ``json_text``.  It slices the line of every quoted literal that
@@ -45,7 +48,6 @@ ordinals, made only when the text before it has been taken: a round
 costs its number of runs plus one copy of its text, and ``construct``
 and ``trace`` write a trace of any length a round at a time, never
 holding its rounds as lists or its document as one string.
-``trace_to_json`` reads the same text back.
 
 An intentionally naive mirror of these semantics lives in ``reference``
 and is compared against this engine by the test suite, as is the
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from typing import Iterable, NamedTuple
 
@@ -91,13 +92,13 @@ def _closed(adj: Rows, S: Iterable[int], first: list) -> list[int]:
     return P
 
 
-def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int]:
+def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int, bool]:
     """The one round loop: simultaneous rounds from N[S] to coverage or fixpoint.
 
     Returns ``first``, the round at which each vertex was first monitored
-    (0 for N[S], NEVER if never), and the index of the last round.  The
-    loop ends after the first round that covers every vertex or monitors
-    nothing new; that round counts too.
+    (0 for N[S], NEVER if never), the index of the last round, and whether
+    every vertex is monitored.  The loop ends after the first round that
+    covers every vertex or monitors nothing new; that round counts too.
     """
     n = len(adj)
     first = [NEVER] * n
@@ -129,7 +130,7 @@ def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int]:
             break
         covered += len(nxt)
         new = nxt
-    return first, t
+    return first, t, covered == n
 
 
 class _Rounds(Sequence):
@@ -149,13 +150,9 @@ class _Rounds(Sequence):
         return self._count
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(self._count)))
-        i = operator.index(i)
-        if i < 0:
-            i += self._count
-        if not 0 <= i < self._count:
-            raise IndexError("round index out of range")
+        i = range(self._count)[i]  # a slice gives a range; out of range raises IndexError
+        if isinstance(i, range):
+            return tuple(self[j] for j in i)
         return frozenset(v for v, s in enumerate(self._first_step) if s <= i)
 
     def __eq__(self, other: object) -> bool:
@@ -172,26 +169,24 @@ class MonitorTrace(NamedTuple):
 
     ``first_step[v]`` is the round at which v became monitored (0 for the
     seed's closed neighborhood), or ``NEVER``.  ``round_count`` is the
-    number of rounds, counting round 0.  ``rounds`` derives the monitored
-    set of every round from these two: ``rounds[0]`` is the closed
-    neighborhood of the seed, rounds grow monotonically, and the run ends
-    either at full coverage or with two equal entries witnessing the
-    fixpoint (``(frozenset(), frozenset())`` for an empty seed).
+    number of rounds, counting round 0.  ``covered`` is the run's verdict:
+    True iff the last round monitors every vertex.  ``rounds`` derives the
+    monitored set of every round from ``first_step`` and ``round_count``:
+    ``rounds[0]`` is the closed neighborhood of the seed, rounds grow
+    monotonically, and the run ends either at full coverage or with two
+    equal entries witnessing the fixpoint (``(frozenset(), frozenset())``
+    for an empty seed).
     """
 
     k: int
     seed: frozenset[int]
     first_step: tuple[int | float, ...]
     round_count: int
+    covered: bool
 
     @property
     def rounds(self) -> Sequence[frozenset[int]]:
         return _Rounds(self.first_step, self.round_count)
-
-    @property
-    def covered(self) -> bool:
-        """True iff the last round monitors every vertex (one scan per read)."""
-        return NEVER not in self.first_step
 
     @property
     def radius(self) -> int | float:
@@ -203,8 +198,8 @@ def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrac
     """Run rounds from the closed neighborhood of S until coverage or fixpoint."""
     check_k(k)
     S = _vertex_set(g, S)
-    first, step = _run(g.adjacency, k, S)
-    return MonitorTrace(k=k, seed=frozenset(S), first_step=tuple(first), round_count=step + 1)
+    first, step, covered = _run(g.adjacency, k, S)
+    return MonitorTrace(k, frozenset(S), tuple(first), step + 1, covered)
 
 
 def is_kpds(g: PyramidGraph, k: int, S: Iterable[int]) -> bool:
@@ -292,8 +287,3 @@ def json_text(value) -> Iterator[str]:
         yield from value
     else:
         yield json.dumps(value)
-
-
-def trace_to_json(g: PyramidGraph, trace: MonitorTrace) -> dict:
-    """Trace as {k, seed, rounds, radius}: ``trace_fields`` read back from its JSON text."""
-    return json.loads("".join(json_text(trace_fields(g, trace))))

@@ -273,24 +273,23 @@ class TestVerify:
         assert doc["is_kpds"] is True
         assert doc["radius"] == 3
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--set", "(0,(1))"],
-        ["verify", "--set", "(1,(1)); (1,(2))"],
-        ["construct"],
-    ])
-    def test_coverage_is_scanned_once(self, capsys, monkeypatch, argv):
-        # ``covered`` scans every vertex's round on each read.
-        reads = []
-        scan = propagation.MonitorTrace.covered.fget
-
-        def counted(trace):
-            reads.append(trace)
-            return scan(trace)
-
-        monkeypatch.setattr(propagation.MonitorTrace, "covered", property(counted))
-        code, _ = run(capsys, *argv, "--C", "3", "--L", "2", "--k", "1")
+    @pytest.mark.parametrize("verb,k,fmt,digest", [
+        ("verify", 3, "json", "6db7e7576cbbd463abdf24485239fcc64a700bfdc338c728b3ad9005fac83056"),
+        ("verify", 3, "text", "664e4b64224e11447511bb08c37b0a3e819fbd36152f8758bf27e6baa120c1e3"),
+        ("trace", 3, "json", "da6055ecda610609b28ca44ca72dc78fba075f2d67e72f7fdf37f0498cc2a1e0"),
+        ("trace", 3, "text", "4fe08669444c0c6cc05a6ca6dd02ecc536365406fc26bba7411b12cba6b7b00b"),
+        ("verify", 2, "json", "0c422611e3211b197602d85dcf505886db3b98c7820416d7b07bce08a7b64d0d"),
+        ("verify", 2, "text", "5945a98f7c737c6434ef8b3b102d843b99c2f34ee19f5c980caad170fd6316cb"),
+        ("trace", 2, "json", "d461a5fd2ffc89365ae832bd2ee818839a6f5993007f44c8d6441b835b7ccb26"),
+        ("trace", 2, "text", "5db4469113a395a4d64d10c98306c85123dca5d2edba341c3909ebd6a63ab083"),
+    ], ids=lambda p: str(p)[:8])
+    def test_seed_run_output_is_pinned(self, capsys, verb, k, fmt, digest):
+        # The k=3 spine of WKP(4,7) covers in 127 rounds; at k=2 the same
+        # seeds stall after 3 rounds.
+        code, out = run(capsys, verb, "--C", "4", "--L", "7", "--k", str(k),
+                        "--set", "(1,(0));(3,(000));(6,(000000))", "--format", fmt)
         assert code == 0
-        assert len(reads) == 1
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_malformed_address_exit_2(self, capsys):
         code, _ = run(capsys, "verify", "--C", "3", "--L", "2", "--k", "1",
@@ -484,6 +483,20 @@ class TestEnvOverrides:
         monkeypatch.setenv("WKPDOM_MAX_VERTICES", "10")
         code, _ = run(capsys, "gen", "--C", "3", "--L", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--C", "3", "--L", "2"],
+        ["construct", "--C", "3", "--L", "2", "--k", "1"],
+        ["verify", "--C", "3", "--L", "2", "--k", "1", "--set", "(0,(1))"],
+        ["radius", "--C", "2", "--L", "2", "--k", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_non_integer_vertex_cap_exit_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("WKPDOM_MAX_VERTICES", "1e5")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: WKPDOM_MAX_VERTICES must be an integer, got '1e5'\n"
 
     def test_flag_beats_vertex_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WKPDOM_MAX_VERTICES", "10")

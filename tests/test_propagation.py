@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import operator
 import tracemalloc
@@ -21,7 +22,6 @@ from wkpdom import (
     is_kpds,
     propagate_fixpoint,
     radius_of_set,
-    trace_to_json,
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
 from wkpdom.propagation import json_text, trace_fields
@@ -35,6 +35,11 @@ ks = st.integers(min_value=0, max_value=3)
 
 def ordinals(g, addresses):
     return [g.ordinal(a) for a in addresses]
+
+
+def trace_to_json(g, trace):
+    """The trace as {k, seed, rounds, radius}, read back from its JSON text."""
+    return json.loads("".join(json_text(trace_fields(g, trace))))
 
 
 def small_graphs(limit=100):
@@ -139,19 +144,23 @@ class TestFixpoint:
         seed = {v % g.n for v in seed}
         trace = propagate_fixpoint(g, k, seed)
         assert [set(r) for r in trace.rounds] == naive_fixpoint_rounds(g, k, seed)
+        assert trace.covered == (math.inf not in trace.first_step) == naive_is_kpds(g, k, seed)
         for a, b in zip(trace.rounds, trace.rounds[1:]):
             assert a <= b
         assert len(trace.rounds) <= g.n + 1
 
     def test_trace_stores_first_step_only(self, wkp23):
-        assert list(MonitorTrace._fields) == ["k", "seed", "first_step", "round_count"]
+        assert list(MonitorTrace._fields) == ["k", "seed", "first_step", "round_count",
+                                              "covered"]
         trace = propagate_fixpoint(wkp23, 1, [wkp23.ordinal(APEX)])
         rounds = tuple(trace.rounds)
         assert trace.rounds == rounds and rounds == trace.rounds
         assert len(trace.rounds) == trace.round_count == len(rounds)
         assert trace.rounds[-1] == rounds[-1] and trace.rounds[1:] == rounds[1:]
-        with pytest.raises(IndexError):
-            trace.rounds[len(rounds)]
+        assert trace.rounds[::-2] == rounds[::-2] and trace.rounds[-2:99] == rounds[-2:99]
+        for i in (len(rounds), -len(rounds) - 1):
+            with pytest.raises(IndexError):
+                trace.rounds[i]
 
     @pytest.mark.parametrize("prop", [propagate_fixpoint, radius_of_set])
     def test_work_is_linear_in_graph_size_not_rounds(self, prop):
