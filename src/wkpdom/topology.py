@@ -27,8 +27,10 @@ and search witnesses are reproducible across runs.  Ordinals are arithmetic:
 with offset(r) the number of vertices on the levels above r
 (1 + C + ... + C^(r-1) in WKP, 0 in WK), vertex a_r ... a_1 has ordinal
 offset(r) + value(a_r ... a_1), the digits read in base C; the apex is
-ordinal 0.  ``graph_from_json`` accepts only canonical documents: the
-vertex and edge lists that ``export`` writes for WK(C, L) or WKP(C, L).
+ordinal 0.  The adjacency rows are built a column of ordinals at a time
+and hold the graph's one int object per ordinal.  ``graph_from_json``
+accepts only canonical documents: the vertex and edge lists that
+``export`` writes for WK(C, L) or WKP(C, L).
 """
 
 from __future__ import annotations
@@ -177,10 +179,12 @@ def parse_address(text: str, C: int | None = None) -> Address:
 class PyramidGraph:
     """Immutable adjacency structure for a WK or WKP graph: its rows and nothing else.
 
-    ``adjacency[i]`` is the sorted tuple of neighbor ordinals of ordinal i.
-    Vertex d has ordinal ``offsets[len(d)] + value(d)``, the digits read in
-    base C (see the module docstring), so ``ordinal`` and its inverse
-    ``address`` are arithmetic and a graph takes O(n + |E|) space.
+    ``adjacency[i]`` is the sorted tuple of neighbor ordinals of ordinal i;
+    the rows share the graph's one int object per ordinal, so a graph holds
+    n ints besides its rows.  Vertex d has ordinal ``offsets[len(d)] +
+    value(d)``, the digits read in base C (see the module docstring), so
+    ``ordinal`` and its inverse ``address`` are arithmetic and a graph takes
+    O(n + |E|) space.
     """
 
     __slots__ = ("family", "C", "L", "adjacency", "offsets")
@@ -285,54 +289,70 @@ def rule2_partner(digits: tuple[int, ...]) -> tuple[int, ...] | None:
     return digits[: r - 1 - t] + (last,) + (c,) * t
 
 
-def _bridge_deltas(C: int, L: int) -> Iterator[list[int]]:
-    """For r = 1..L, the rule-2 bridge of every level-r string as one list.
+#: A class's rows are zipped this many at a time.  The cyclic collector walks
+#: each column slice once, so short slices are walked while still in cache.
+_CHUNK = 256
 
-    Entry x is partner - x for the string of base-C value x, or 0 when it
-    has no bridge.  WK(C, r) is C copies of WK(C, r-1): copy a (the strings
-    a d) keeps the bridges of d, which move with it, so the level r-1 list
-    repeated C times holds them; and its extreme string a b^(r-1), b != a,
-    is bridged to b a^(r-1).  With s = C^(r-1) and e the value of 1^(r-1),
-    those two strings are a*s + b*e and b*s + a*e.
+
+def _rows(family: str, C: int, L: int) -> list[tuple[int, ...]]:
+    """The sorted adjacency rows of WK(C, L) or WKP(C, L), a column at a time.
+
+    Every entry is an item of ``ords``, the graph's one int object per
+    ordinal.  A string p c j^t, c != j, ends in a run of t digits j: its
+    clique mates replace the last digit, its bridge partner p j c^t lies
+    (c - j)(e_t - C^t) ordinals away, with e_t = 1 + C + ... + C^(t-1), and
+    its parent and children drop and append a digit.  For fixed (t, c, j)
+    those strings, the class, are the values u = c C^t + j e_t past each
+    multiple of C^(t+1) on every level r > t, where the level offsets agree
+    modulo C^(t+1).  Their ordinals form one arithmetic progression, and so
+    does each column of their rows: the parents (step C^t), each mate and
+    the partners (step C^(t+1)) and each child (step C^(t+2)).  A class's
+    rows are those columns, tuple slices of ``ords``, zipped in the order
+    of its first row: the partner lies outside the clique, before it when
+    c > j.  WKP splits each class at level L, where the rows lose their
+    children.  The C repeated-digit strings of each level have no partner
+    and are built one at a time, as is the apex.
     """
-    deltas, s, e = [0] * C, C, 1
-    yield deltas
-    for _ in range(2, L + 1):
-        deltas = deltas * C
-        for a, b in itertools.permutations(range(C), 2):
-            deltas[a * s + b * e] = (b - a) * (s - e)
-        s, e = s * C, e * C + 1
-        yield deltas
-
-
-def _runs(ordinals: range, C: int) -> Iterator[tuple[int, ...]]:
-    """``ordinals`` cut into consecutive tuples of C."""
-    return zip(*[iter(ordinals)] * C)
-
-
-def _level_rows(C: int, deltas: list[int], offset: int,
-                heads: Iterable[tuple[int, ...]],
-                tails: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The sorted rows of one level, a rule-1 clique at a time.
-
-    The level's vertices are ``offset + x`` with ``deltas[x]`` from
-    ``_bridge_deltas``; each run of C of them is a clique.  A clique's row
-    starts with its next ``heads`` entry (its parent in WKP), and a vertex's
-    row ends with its next ``tails`` entry (its children).  The bridge
-    partner lies outside the vertex's clique, so it goes before the clique
-    when it is smaller and after it otherwise.
-    """
-    rows = []
-    tails = iter(tails)
-    for head, clique in zip(heads, _runs(range(offset, offset + len(deltas)), C)):
-        for j, i in enumerate(clique):
-            same = clique[:j] + clique[j + 1:]
-            d = deltas[i - offset]
-            if d < 0:
-                same = (i + d,) + same
-            elif d:
-                same += (i + d,)
-            rows.append(head + same + next(tails))
+    offsets = _level_offsets(family, C, L)
+    ords = tuple(range(offsets[-1]))
+    rows = [None] * len(ords)
+    wkp = family == WKP
+    pw = [C ** t for t in range(L + 2)]
+    e = list(itertools.accumulate(pw, initial=0))
+    spans = ((1, L - 1), (L, L)) if wkp else ((L, L),)  # levels whose rows share a shape
+    pairs = list(itertools.permutations(range(C), 2))  # (c, j); none for C = 1
+    for t in range(1, L) if pairs else ():
+        sub, step, et = pw[t], pw[t + 1], e[t]
+        for r0, r1 in spans:
+            r0 = max(r0, t + 1)
+            count = (offsets[r1 + 1] - offsets[r0]) // step
+            kids = wkp and r1 < L
+            for i in range(0, count, _CHUNK):
+                k = min(count - i, _CHUNK)
+                w, x0 = k * step, offsets[r0] + i * step
+                for c, j in pairs:
+                    u = c * sub + j * et
+                    x = x0 + u
+                    cols = [ords[y:y + w:step] for y in range(x - j, x - j + C) if y != x]
+                    b = x + (c - j) * (et - sub)
+                    cols.insert(0 if c > j else C - 1, ords[b:b + w:step])
+                    if wkp:
+                        p = offsets[r0 - 1] + i * sub + u // C
+                        cols.insert(0, ords[p:p + k * sub:sub])
+                    if kids:
+                        f = offsets[r0 + 1] + (i * step + u) * C
+                        cols += [ords[y:y + w * C:step * C] for y in range(f, f + C)]
+                    rows[x:x + w:step] = zip(*cols)
+    for r in range(1, L + 1) if wkp else (L,):
+        for a in range(C):
+            x = offsets[r] + a * e[r]
+            row = ords[x - a:x] + ords[x + 1:x - a + C]
+            if wkp:  # level L's children start past the last ordinal: an empty slice
+                f = offsets[r + 1] + a * e[r] * C
+                row = (ords[offsets[r - 1] + a * e[r - 1]],) + row + ords[f:f + C]
+            rows[x] = row
+    if wkp:
+        rows[0] = ords[1:C + 1]
     return rows
 
 
@@ -343,21 +363,13 @@ def build_wk(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Pyr
     the canonical order is lexicographic on digits.
     """
     _check_parameters(WK, C, L, max_vertices)
-    *_, deltas = _bridge_deltas(C, L)
-    rows = _level_rows(C, deltas, 0, itertools.repeat(()), itertools.repeat(()))
-    return PyramidGraph(WK, C, L, rows)
+    return PyramidGraph(WK, C, L, _rows(WK, C, L))
 
 
 def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
     """Build the WK-pyramid WKP(C, L) on 1 + C + C^2 + ... + C^L vertices."""
     _check_parameters(WKP, C, L, max_vertices)
-    offsets = _level_offsets(WKP, C, L)
-    rows = [tuple(range(1, C + 1))]
-    for r, deltas in enumerate(_bridge_deltas(C, L), 1):
-        parents = zip(range(offsets[r - 1], offsets[r]))  # (parent,) of each clique
-        children = _runs(range(offsets[r + 1], offsets[r + 2]), C) if r < L else itertools.repeat(())
-        rows += _level_rows(C, deltas, offsets[r], parents, children)
-    return PyramidGraph(WKP, C, L, rows)
+    return PyramidGraph(WKP, C, L, _rows(WKP, C, L))
 
 
 def extreme_vertices(g: PyramidGraph) -> set[Address]:

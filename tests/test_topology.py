@@ -38,8 +38,13 @@ def sweep_cases(limit=2000):
 
 
 SWEEP = list(sweep_cases())
-#: Alphabets above the sweep's C <= 6, for the builders' bridge arithmetic.
-LARGE_C = [("wkp", 7, 3), ("wkp", 10, 2), ("wk", 8, 3), ("wk", 10, 3)]
+#: Alphabets above the sweep's C <= 6, for the builders' bridge arithmetic,
+#: up to alphabets whose addresses cannot be printed.
+LARGE_C = [("wkp", 7, 3), ("wkp", 10, 2), ("wk", 8, 3), ("wk", 10, 3),
+           ("wkp", 11, 2), ("wk", 12, 2)]
+#: Graphs whose largest row classes (511 and 512 strings) are zipped in
+#: more than one piece.
+LONG_CLASSES = [("wkp", 2, 11), ("wk", 2, 11)]
 
 
 def block(g, w):
@@ -128,7 +133,13 @@ class TestBuilders:
         finally:
             tracemalloc.stop()
         assert g.n == 21845
-        assert held < 5 * 2 ** 20
+        assert held < 3 * 2 ** 20
+
+    @pytest.mark.parametrize("builder,C,L", [(build_wkp, 4, 5), (build_wk, 5, 4)])
+    def test_rows_share_one_int_per_ordinal(self, builder, C, L):
+        # Every row holds the graph's own int object for each neighbor.
+        g = builder(C, L)
+        assert len({id(v) for row in g.adjacency for v in row}) == g.n
 
     @pytest.mark.parametrize("C", [1, 2, 4])
     def test_wkp_single_level_is_complete(self, C):
@@ -163,7 +174,7 @@ class TestBuilders:
             build_wkp(10, 2, max_vertices=110)
 
 
-@pytest.mark.parametrize("family,C,L", SWEEP + LARGE_C)
+@pytest.mark.parametrize("family,C,L", SWEEP + LARGE_C + LONG_CLASSES)
 def test_structural_invariants(family, C, L):
     g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
     if family == "wk":
@@ -186,7 +197,7 @@ def test_structural_invariants(family, C, L):
         assert g.degree(i) == expected, f"{a} in {family}({C},{L})"
 
 
-@pytest.mark.parametrize("family,C,L", SWEEP + LARGE_C)
+@pytest.mark.parametrize("family,C,L", SWEEP + LARGE_C + LONG_CLASSES)
 def test_builders_match_address_lookup(family, C, L):
     g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
     vertices, edges = address_lookup_graph(family, C, L)
