@@ -251,8 +251,9 @@ class PyramidGraph:
 
 def _level_offsets(family: str, C: int, L: int) -> tuple[int, ...]:
     """offsets[r] = ordinal of the first level-r vertex, r = 0..L+1; offsets[L+1] = n."""
-    sizes = (C ** r if family == WKP or r == L else 0 for r in range(L + 1))
-    return tuple(itertools.accumulate(sizes, initial=0))
+    if family == WK:  # only level L has vertices
+        return (0,) * (L + 1) + (C ** L,)
+    return tuple(itertools.accumulate((C ** r for r in range(L + 1)), initial=0))
 
 
 def _check_parameters(family: str, C: int, L: int, max_vertices: int) -> None:
@@ -294,7 +295,7 @@ def rule2_partner(digits: tuple[int, ...]) -> tuple[int, ...] | None:
 _CHUNK = 256
 
 
-def _rows(family: str, C: int, L: int) -> list[tuple[int, ...]]:
+def _rows(g: PyramidGraph) -> list[tuple[int, ...]]:
     """The sorted adjacency rows of WK(C, L) or WKP(C, L), a column at a time.
 
     Every entry is an item of ``ords``, the graph's one int object per
@@ -313,14 +314,14 @@ def _rows(family: str, C: int, L: int) -> list[tuple[int, ...]]:
     children.  The C repeated-digit strings of each level have no partner
     and are built one at a time, as is the apex.
     """
-    offsets = _level_offsets(family, C, L)
+    C, L, offsets = g.C, g.L, g.offsets
     ords = tuple(range(offsets[-1]))
     rows = [None] * len(ords)
-    wkp = family == WKP
-    pw = [C ** t for t in range(L + 2)]
-    e = list(itertools.accumulate(pw, initial=0))
+    wkp = g.family == WKP
     spans = ((1, L - 1), (L, L)) if wkp else ((L, L),)  # levels whose rows share a shape
     pairs = list(itertools.permutations(range(C), 2))  # (c, j); none for C = 1
+    pw = [C ** t for t in range(L + 2)] if pairs else ()
+    e = list(itertools.accumulate(pw, initial=0)) if pairs else range(L + 2)  # e_t = t for C = 1
     for t in range(1, L) if pairs else ():
         sub, step, et = pw[t], pw[t + 1], e[t]
         for r0, r1 in spans:
@@ -362,14 +363,20 @@ def build_wk(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Pyr
     Its vertices are the length-L strings, the level-L vertices of WKP(C, L);
     the canonical order is lexicographic on digits.
     """
-    _check_parameters(WK, C, L, max_vertices)
-    return PyramidGraph(WK, C, L, _rows(WK, C, L))
+    return _build(WK, C, L, max_vertices)
 
 
 def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
     """Build the WK-pyramid WKP(C, L) on 1 + C + C^2 + ... + C^L vertices."""
-    _check_parameters(WKP, C, L, max_vertices)
-    return PyramidGraph(WKP, C, L, _rows(WKP, C, L))
+    return _build(WKP, C, L, max_vertices)
+
+
+def _build(family: str, C: int, L: int, max_vertices: int) -> PyramidGraph:
+    """The checked graph, its rows built from the level offsets it computed."""
+    _check_parameters(family, C, L, max_vertices)
+    g = PyramidGraph(family, C, L, ())
+    g.adjacency = tuple(_rows(g))
+    return g
 
 
 def extreme_vertices(g: PyramidGraph) -> set[Address]:

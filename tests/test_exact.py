@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import tracemalloc
 
@@ -185,7 +186,7 @@ def test_stored_later_rounds_agree_with_fresh_kernel(C, k):
     steps = steps_of_size(g, k, 3)
     for S in itertools.combinations(range(g.n), 3):
         P = functools.reduce(operator.or_, (masks[v] for v in S))
-        assert steps.get(S) == _bit_step(masks, full, k, P, P), S
+        assert steps.get(S) == _bit_step(masks, full, k, P, P, {}), S
 
 
 def test_later_rounds_store_is_bounded():
@@ -205,3 +206,56 @@ def test_later_rounds_store_is_bounded():
         tracemalloc.stop()
     assert (exc.value.gamma_exceeds, exc.value.checks_performed) == (1, 30_000)
     assert peak < 2 * 2 ** 20
+
+
+def test_long_run_keeps_its_first_sets_within_the_cap(monkeypatch):
+    # From the end of the path WKP(1, 10) at k=1 a run passes nine sets
+    # before coverage; with room for three, the store is emptied and keeps
+    # the first three, each with its own count.
+    g = build_wkp(1, 10)
+    masks, full = _closed_masks(g)
+    monkeypatch.setattr(exact, "LATER_ROUNDS_CAP", 3)
+    store = {1: None}
+    assert _bit_step(masks, full, 1, masks[0], masks[0], store) == 9
+    assert store == {(1 << t + 2) - 1: 9 - t for t in range(3)}
+
+
+def combinations_stop(n, budget):
+    """``(gamma_exceeds, checks_performed)`` of a budget stop in ``combinations`` order."""
+    checks = 0
+    for size in range(1, n + 1):
+        for _ in itertools.combinations(range(n), size):
+            if checks == budget:
+                return size - 1, checks
+            checks += 1
+    raise AssertionError("the budget covers every subset")
+
+
+@pytest.mark.parametrize("budget", [1, 40, 41, 820, 821, 10_699])
+def test_budget_stops_follow_combinations_order(budget):
+    # WKP(3,3) has 40 vertices: the budgets stop at the first set, at both
+    # sides of the size-1 and size-2 ends (40 and 820 checks), and one
+    # check before gamma's level of 9,880 sets is complete.
+    g = build_wkp(3, 3)
+    with pytest.raises(BudgetExceededError) as exc:
+        list(_covering_sets(g, 1, range(1, g.n + 1), SearchBudget(budget), None))
+    assert (exc.value.gamma_exceeds, exc.value.checks_performed) == combinations_stop(g.n, budget)
+
+
+@pytest.mark.parametrize("interval", [exact.PROGRESS_INTERVAL, 37])
+def test_progress_calls_follow_combinations_order(interval, monkeypatch):
+    # One call every ``interval`` checks, counted across sizes, with the
+    # count done inside the current size; 37 puts calls at every offset
+    # into a prefix's run of last seeds.
+    g = build_wkp(3, 3)
+    monkeypatch.setattr(exact, "PROGRESS_INTERVAL", interval)
+    calls = []
+    assert min_kpds(g, 1, progress=lambda *call: calls.append(call)).gamma == 3
+    want, checks = [], 0
+    for size in (1, 2, 3):
+        total = math.comb(g.n, size)
+        for done, _ in enumerate(itertools.combinations(range(g.n), size), 1):
+            checks += 1
+            if checks % interval == 0:
+                want.append((size, done, total))
+    assert calls == want

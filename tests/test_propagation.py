@@ -25,7 +25,7 @@ from wkpdom import (
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
 from wkpdom.propagation import json_text, trace_fields
-from wkpdom.reference import naive_fixpoint_rounds, naive_is_kpds, naive_radius
+from wkpdom.reference import naive_fixpoint_rounds, naive_is_kpds, naive_radius, naive_round
 
 GRAPHS = [build_wkp(3, 2), build_wkp(2, 3)]
 
@@ -202,7 +202,7 @@ def test_engine_and_exact_kernel_agree_with_reference(family, C, L):
             rounds = naive_fixpoint_rounds(g, k, S)
             radius = naive_radius(g, k, S)
             P = functools.reduce(operator.or_, (masks[v] for v in S))
-            step = _bit_step(masks, full, k, P, P)
+            step = _bit_step(masks, full, k, P, P, {})
             assert radius_of_set(g, k, S) == radius
             assert propagate_fixpoint(g, k, S).radius == radius
             assert (math.inf if step is None else 1 + step) == radius
@@ -213,14 +213,19 @@ def test_engine_and_exact_kernel_agree_with_reference(family, C, L):
 def test_stored_later_rounds_agree_with_reference(family, C, L, monkeypatch):
     # Lexicographic order reaches each round-1 set many times, so most
     # checks read their later rounds from the store; every verdict and step
-    # must still be the naive one, and each distinct round-1 set that grew
-    # must run the later rounds exactly once.
+    # must still be the naive one.  A run stores every set it passes, so no
+    # run starts from a set that an earlier run stored, and there are at
+    # most as many runs as distinct round-1 sets that grew.
     g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
     runs = []
+    stored = set()
 
     def counting_step(*args):
+        assert args[3] not in stored
         runs.append(args[3])
-        return _bit_step(*args)
+        rest = _bit_step(*args)
+        stored.update(args[5])
+        return rest
 
     monkeypatch.setattr(exact, "_bit_step", counting_step)
     for k in range(4):
@@ -228,6 +233,7 @@ def test_stored_later_rounds_agree_with_reference(family, C, L, monkeypatch):
             if size > g.n:
                 continue
             runs.clear()
+            stored.clear()
             steps = dict(_covering_sets(g, k, range(size, size + 1), None, None))
             grown = set()
             for S in itertools.combinations(range(g.n), size):
@@ -236,7 +242,41 @@ def test_stored_later_rounds_agree_with_reference(family, C, L, monkeypatch):
                 rounds = naive_fixpoint_rounds(g, k, S)
                 if len(rounds) > 1 and rounds[1] != rounds[0]:
                     grown.add(frozenset(rounds[1]))
-            assert len(runs) == len(set(runs)) == len(grown)
+            assert len(runs) == len(set(runs)) <= len(grown)
+
+
+@pytest.mark.parametrize("family,C,L,k", [
+    ("wkp", 3, 3, 1), ("wkp", 3, 3, 2), ("wkp", 2, 4, 1), ("wkp", 2, 4, 2),
+    ("wk", 3, 3, 1), ("wk", 2, 5, 1), ("wkp", 4, 2, 3),
+])
+def test_every_stored_set_holds_its_naive_round_count(family, C, L, k, monkeypatch):
+    # The store keeps each set a run passed, not only the round-1 set it
+    # started from; the count kept for a set must be the number of naive
+    # rounds from it to coverage, or None where the rounds stall.
+    g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+    stores = []
+
+    def capturing_step(*args):
+        stores.append(args[5])
+        return _bit_step(*args)
+
+    monkeypatch.setattr(exact, "_bit_step", capturing_step)
+    exact.min_kpds(g, k)
+    # One store serves the whole search; each run stores at least the set
+    # it started from, and no store here reaches the cap.
+    assert stores and all(store is stores[0] for store in stores)
+    assert len(stores) <= len(stores[0]) < exact.LATER_ROUNDS_CAP
+    for bits, count in stores[0].items():
+        P = {v for v in range(g.n) if bits >> v & 1}
+        rounds = 0
+        while len(P) < g.n:
+            nxt = naive_round(g, k, P)
+            if nxt == P:
+                rounds = None
+                break
+            rounds += 1
+            P = nxt
+        assert count == rounds
 
 
 @pytest.mark.parametrize("k", [0, 1])

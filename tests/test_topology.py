@@ -116,6 +116,19 @@ class TestBuilders:
         g = build_wk(1, L)
         assert (g.n, g.edge_count) == (1, 0)
 
+    def test_wk_single_digit_alphabet_costs_only_its_offsets(self):
+        # The vertex cap counts vertices, so any L passes it for C = 1.  The
+        # L + 2 level offsets, 7.6 MiB of pointers to one cached 0 here, are
+        # the only per-level table; one of distinct ints would pass 20 MiB.
+        tracemalloc.start()
+        try:
+            g = build_wk(1, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.edge_count, g.address(0)) == (1, 0, (0,) * 10 ** 6)
+        assert peak < 20 * 2 ** 20
+
     def test_wk_3_2_counts_and_degrees(self):
         # degree sum (3*2 + 6*3) / 2 = 12 edges
         g = build_wk(3, 2)
