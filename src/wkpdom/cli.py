@@ -295,9 +295,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     except BrokenPipeError:
-        # What stdout still buffers can never be delivered; pointing stdout
-        # at devnull keeps the interpreter's last flush from raising again.
-        sys.stdout = open(os.devnull, "w")
+        # What stdout still buffers can never be delivered.  Its descriptor,
+        # not the stream, is pointed at devnull: the interpreter's last flush
+        # then succeeds, and no second file is left open at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE
 
 

@@ -10,12 +10,14 @@ fast implementations of the rounds: the counter loop of ``propagation``
 ``exact`` (millions of fixpoints on a few hundred vertices), which share
 none with each other either.  The tests compare the rounds and radii of
 all three on every WK(C, L) and WKP(C, L) with C <= 10, L <= 6 and at
-most 100 vertices, and ``min_kpds`` against ``naive_min_kpds``; the
+most 100 vertices, and ``min_kpds`` against ``naive_min_kpds``, which runs
+every subset of each size up to the first size that holds a k-PDS; the
 reproduction report compares the two solvers on small instances.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable
 
@@ -65,25 +67,18 @@ def naive_radius(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
 
 
 def naive_min_kpds(g: PyramidGraph, k: int) -> tuple[int, list[frozenset[int]], int | float]:
-    """Minimum k-power-dominating sets by scanning all 2^n subsets.
+    """Minimum k-power-dominating sets by scanning subsets size by size.
 
-    Returns (gamma, all optimal sets sorted, min radius over optimal sets).
-    Only sensible for very small graphs.
+    Runs every subset of each size 0, 1, ... once, up to and including the
+    first size that holds a k-PDS: that size is gamma, and no smaller
+    subset was left out.  Returns (gamma, all optimal sets sorted, min
+    radius over optimal sets).  Only sensible for very small graphs.
     """
-    n = g.n
-    best_size = n + 1
-    optimal: list[frozenset[int]] = []
-    for mask in range(1 << n):
-        if mask.bit_count() > best_size:
-            continue
-        members = frozenset(v for v in range(n) if (mask >> v) & 1)
-        if naive_is_kpds(g, k, members):
-            if len(members) < best_size:
-                best_size = len(members)
-                optimal = [members]
-            else:
-                optimal.append(members)
-    gamma = best_size
-    optimal.sort(key=sorted)
-    radius = min(naive_radius(g, k, S) for S in optimal)
-    return gamma, optimal, radius
+    for size in itertools.count():
+        found: dict[frozenset[int], int | float] = {}
+        for S in itertools.combinations(range(g.n), size):
+            radius = naive_radius(g, k, S)
+            if radius != math.inf:
+                found[frozenset(S)] = radius
+        if found:
+            return size, sorted(found, key=sorted), min(found.values())

@@ -99,3 +99,63 @@ def test_structure_check_names_the_failing_vertex_by_its_literal(monkeypatch, ba
     monkeypatch.setattr(PyramidGraph, "degree", lambda self, i: real(self, i) + (i == bad))
     problem = paper_report._check_structure("WKP", 3, 2)
     assert problem is not None and problem.startswith(f"WKP(3,2): {literal} has degree "), problem
+
+
+def _runs_counted(monkeypatch):
+    real = paper_report.propagate_fixpoint
+    runs = []
+
+    def counted(g, k, S):
+        runs.append((g.n, k))
+        return real(g, k, S)
+
+    monkeypatch.setattr(paper_report, "propagate_fixpoint", counted)
+    return runs
+
+
+def test_seed_row_runs_each_seed_set_once(monkeypatch):
+    # n single seeds plus one run per unordered pair {v, u}, v <= u.
+    runs = _runs_counted(monkeypatch)
+    ok, computed = paper_report._prop_seed_monotonicity()
+    assert (ok, computed) == (True, "1182 seed pairs contained")
+    for g in paper_report._property_graphs():
+        for k in (0, 1, 2):
+            assert runs.count((g.n, k)) == g.n + g.n * (g.n + 1) // 2
+
+
+def test_seed_row_fails_when_a_pair_loses_its_larger_seeds_own_vertex(monkeypatch):
+    # The pair's fixpoint drops a vertex that only the larger seed's own
+    # fixpoint holds, so only the check of that seed can catch it.
+    real = paper_report.propagate_fixpoint
+    mutated = []
+
+    def lossy(g, k, S):
+        trace = real(g, k, S)
+        if len(S) == 2:
+            small, large = sorted(S)
+            lost = real(g, k, {large}).rounds[-1] - real(g, k, {small}).rounds[-1]
+            if lost:
+                mutated.append((small, large, k))
+                first = list(trace.first_step)
+                first[min(lost)] = NEVER
+                return trace._replace(first_step=tuple(first))
+        return trace
+
+    monkeypatch.setattr(paper_report, "propagate_fixpoint", lossy)
+    ok, computed = paper_report._prop_seed_monotonicity()
+    small, large, k = mutated[0]
+    assert not ok
+    assert computed == f"seed {{{large}}} vs {{{small},{large}}} violates containment (k={k})"
+
+
+def test_oracle_row_fails_when_the_solver_drops_a_witness(monkeypatch):
+    real = paper_report.min_kpds
+
+    def short(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return result._replace(witnesses=result.witnesses[:-1])
+
+    monkeypatch.setattr(paper_report, "min_kpds", short)
+    ok, computed = paper_report._prop_oracle_equivalence(paper_report.SearchBudget())
+    assert not ok
+    assert computed.endswith("solver disagrees with 2^n scan"), computed

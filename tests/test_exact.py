@@ -22,6 +22,7 @@ from wkpdom import (
     propagation_radius,
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
+from wkpdom import reference
 from wkpdom.reference import naive_min_kpds
 
 
@@ -150,6 +151,26 @@ def test_solver_agrees_with_full_subset_scan(C, L, k):
     assert result.gamma == gamma
     assert result.radius == radius
     assert sorted(result.witnesses, key=sorted) == optimal
+
+
+@pytest.mark.parametrize("C, L, gamma, runs", [
+    (1, 11, 4, 1 + 12 + 66 + 220 + 495),  # the path on 12 vertices
+    (2, 2, 2, 1 + 7 + 21),
+])
+def test_subset_scan_runs_each_subset_once_up_to_gamma(monkeypatch, C, L, gamma, runs):
+    # Every subset of each size up to gamma is run once, larger ones never,
+    # and an optimal set's radius comes from that same run.
+    real = reference.naive_fixpoint_rounds
+    seeds = []
+
+    def counted(g, k, S):
+        seeds.append(frozenset(S))
+        return real(g, k, S)
+
+    monkeypatch.setattr(reference, "naive_fixpoint_rounds", counted)
+    assert naive_min_kpds(build_wkp(C, L), 0)[0] == gamma
+    assert len(seeds) == len(set(seeds)) == runs
+    assert max(map(len, seeds)) == gamma
 
 
 GAMMA_AGREEMENT_CASES = [
