@@ -20,6 +20,7 @@ from .exact import (
     ExactResult,
     SearchBudget,
     exact_result_to_json,
+    first_min_kpds,
     level1_intersection_check,
     min_kpds,
     propagation_radius,
@@ -78,6 +79,7 @@ __all__ = [
     "exact_result_to_json",
     "export",
     "extreme_vertices",
+    "first_min_kpds",
     "format_address",
     "gamma_formula",
     "graph_from_json",

@@ -269,6 +269,17 @@ def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
                        checks_performed=checks)
 
 
+def first_min_kpds(g: PyramidGraph, k: int,
+                   budget: SearchBudget | None = None) -> tuple[int, ...]:
+    """The lexicographically first minimum k-PDS, as ascending ordinals.
+
+    Every smaller subset has been checked when it is found, so its size is
+    gamma; the rest of gamma's level is not swept.  Raises
+    ``BudgetExceededError`` exactly where ``min_kpds`` does.
+    """
+    return next(_covering_sets(g, k, range(1, g.n + 1), budget, None))[0]
+
+
 def _whole_level(result: ExactResult, prefix: str) -> ExactResult:
     """``result`` if its search checked every set of size gamma, else the budget error."""
     if not result.exhausted:

@@ -12,7 +12,7 @@ import pytest
 import wkpdom.report as paper_report
 from wkpdom import NEVER, propagation
 from wkpdom.report import run_check_paper
-from wkpdom.topology import PyramidGraph
+from wkpdom.topology import PyramidGraph, address_list
 
 CRITERIA = {
     1: "exact gamma on two-level pyramids equals C-k",
@@ -114,13 +114,14 @@ def _runs_counted(monkeypatch):
 
 
 def test_seed_row_runs_each_seed_set_once(monkeypatch):
-    # n single seeds plus one run per unordered pair {v, u}, v <= u.
+    # n single seeds plus one run per unordered pair {v, u}, v < u: the
+    # diagonal pair {v, v} is the single seed {v}, so it holds by identity.
     runs = _runs_counted(monkeypatch)
     ok, computed = paper_report._prop_seed_monotonicity()
     assert (ok, computed) == (True, "1182 seed pairs contained")
     for g in paper_report._property_graphs():
         for k in (0, 1, 2):
-            assert runs.count((g.n, k)) == g.n + g.n * (g.n + 1) // 2
+            assert runs.count((g.n, k)) == g.n + g.n * (g.n - 1) // 2
 
 
 def test_seed_row_fails_when_a_pair_loses_its_larger_seeds_own_vertex(monkeypatch):
@@ -159,3 +160,57 @@ def test_oracle_row_fails_when_the_solver_drops_a_witness(monkeypatch):
     ok, computed = paper_report._prop_oracle_equivalence(paper_report.SearchBudget())
     assert not ok
     assert computed.endswith("solver disagrees with 2^n scan"), computed
+
+
+def _gamma_rows():
+    """The 15 rows that print only gamma, in report order."""
+    budget = paper_report.SearchBudget()
+    return (paper_report._rows_gamma_level2(budget)
+            + paper_report._rows_gamma_general(budget)[:1]
+            + paper_report._rows_gamma_one(budget)
+            + paper_report._rows_tightness(budget))
+
+
+def _witnesses_recorded(monkeypatch, mutate=lambda witness: witness):
+    """Patch ``report.first_min_kpds`` to log each (graph, witness) it returns."""
+    real = paper_report.first_min_kpds
+    returned = []
+
+    def recorded(g, k, budget=None):
+        returned.append((g, mutate(real(g, k, budget))))
+        return returned[-1][1]
+
+    monkeypatch.setattr(paper_report, "first_min_kpds", recorded)
+    return returned
+
+
+def _assert_rows_name_rejected_witnesses(rows, returned):
+    assert len(rows) == len(returned) == 15
+    for row, (g, witness) in zip(rows, returned):
+        assert row.status == "fail", row
+        named = ";".join(address_list(g, witness))
+        assert row.computed.startswith(f'engine rejects witness "{named}"'), row
+
+
+def test_gamma_rows_fail_when_the_engine_rejects_the_witness(monkeypatch):
+    real = paper_report.is_kpds
+    returned = _witnesses_recorded(monkeypatch)
+
+    def rejecting(g, k, S):
+        return False if returned and S is returned[-1][1] else real(g, k, S)
+
+    monkeypatch.setattr(paper_report, "is_kpds", rejecting)
+    rows = _gamma_rows()
+    _assert_rows_name_rejected_witnesses(rows, returned)
+    general = rows[len(paper_report.GAMMA_L2_CASES)]
+    assert general.computed == 'engine rejects witness "(2,(00));(2,(10));(2,(21))"'
+
+
+def test_gamma_rows_fail_when_the_solver_drops_a_seed(monkeypatch):
+    # A set one seed short of a minimum k-PDS is no k-PDS; on its size alone
+    # the tightness rows' bounds would still hold, so the engine must say so.
+    returned = _witnesses_recorded(monkeypatch, lambda witness: witness[:-1])
+    rows = _gamma_rows()
+    _assert_rows_name_rejected_witnesses(rows, returned)
+    general = rows[len(paper_report.GAMMA_L2_CASES)]
+    assert general.computed == 'engine rejects witness "(2,(00));(2,(10))"'

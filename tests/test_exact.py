@@ -14,6 +14,7 @@ from wkpdom import (
     build_wkp,
     exact,
     exact_result_to_json,
+    first_min_kpds,
     format_address,
     gamma_formula,
     is_kpds,
@@ -171,6 +172,16 @@ def test_subset_scan_runs_each_subset_once_up_to_gamma(monkeypatch, C, L, gamma,
     assert naive_min_kpds(build_wkp(C, L), 0)[0] == gamma
     assert len(seeds) == len(set(seeds)) == runs
     assert max(map(len, seeds)) == gamma
+
+
+def test_first_min_kpds_stops_at_the_first_minimum_set():
+    # WKP(3,3) at k=1: after the 40 + 780 smaller sets, (4, 7, 11) is the
+    # 2,811th set of size 3, so the search needs exactly 3,631 checks.
+    g = build_wkp(3, 3)
+    assert first_min_kpds(g, 1, SearchBudget(3631)) == (4, 7, 11)
+    with pytest.raises(BudgetExceededError) as exc:
+        first_min_kpds(g, 1, SearchBudget(3630))
+    assert (exc.value.gamma_exceeds, exc.value.checks_performed) == (2, 3630)
 
 
 GAMMA_AGREEMENT_CASES = [

@@ -11,21 +11,31 @@ from hypothesis import strategies as st
 
 from wkpdom import (
     APEX,
+    BudgetExceededError,
     ParameterDomainError,
     MonitorTrace,
     RegimeError,
+    SearchBudget,
     build_wk,
     build_wkp,
     construct_kpds,
     exact,
+    first_min_kpds,
     format_address,
     is_kpds,
+    min_kpds,
     propagate_fixpoint,
     radius_of_set,
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
 from wkpdom.propagation import json_text, trace_fields
-from wkpdom.reference import naive_fixpoint_rounds, naive_is_kpds, naive_radius, naive_round
+from wkpdom.reference import (
+    naive_fixpoint_rounds,
+    naive_is_kpds,
+    naive_min_kpds,
+    naive_radius,
+    naive_round,
+)
 
 GRAPHS = [build_wkp(3, 2), build_wkp(2, 3)]
 
@@ -243,6 +253,31 @@ def test_stored_later_rounds_agree_with_reference(family, C, L, monkeypatch):
                 if len(rounds) > 1 and rounds[1] != rounds[0]:
                     grown.add(frozenset(rounds[1]))
             assert len(runs) == len(set(runs)) <= len(grown)
+
+
+@pytest.mark.parametrize("family,C,L", list(small_graphs(40)))
+def test_first_min_kpds_is_the_first_optimal_witness(family, C, L):
+    # Under one budget both searches stop at the same check while gamma is
+    # still open, and otherwise agree on the first witness.  50,000 checks
+    # stop seven searches before gamma: k=0 on WKP(2,4), WKP(3,3), WKP(5,2),
+    # WK(2,5), WK(3,3) and WK(6,2), and k=1 on WK(6,2), each needing from
+    # 0.2 to over 2 million checks, which would take seconds apiece.
+    g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+    budget = SearchBudget(50_000)
+    for k in sorted({0, 1, 2, C - 1}):
+        try:
+            result = min_kpds(g, k, budget)
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError) as mine:
+                first_min_kpds(g, k, budget)
+            assert ((mine.value.gamma_exceeds, mine.value.checks_performed)
+                    == (exc.gamma_exceeds, exc.checks_performed))
+            continue
+        first = first_min_kpds(g, k, budget)
+        assert first == tuple(sorted(result.witnesses[0]))
+        assert len(first) == result.gamma
+        if g.n <= 12:
+            assert frozenset(first) == naive_min_kpds(g, k)[1][0]
 
 
 @pytest.mark.parametrize("family,C,L,k", [
