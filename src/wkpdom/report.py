@@ -18,9 +18,10 @@ no randomness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import reference
 from .constructions import construct_kpds, ham_cycle_wk
@@ -100,6 +101,15 @@ class ReproReport(NamedTuple):
         return "\n".join(lines)
 
 
+#: The graph for (family, C, L); ``run_check_paper`` passes one that builds
+#: each graph once per call, and a row called on its own builds its own.
+GraphSource = Callable[[str, int, int], PyramidGraph]
+
+
+def _build(family: str, C: int, L: int) -> PyramidGraph:
+    return build_wkp(C, L) if family == WKP else build_wk(C, L)
+
+
 def _row(criterion: int, claim: str, expected: str, computed: str,
          ok: bool, kind: str = MATCH) -> ReportRow:
     return ReportRow(criterion, claim, expected, computed, kind if ok else FAIL)
@@ -123,11 +133,11 @@ def _gamma(g: PyramidGraph, k: int, budget: SearchBudget) -> tuple[int | None, s
 GAMMA_L2_CASES = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 4))
 
 
-def _rows_gamma_level2(budget: SearchBudget) -> list[ReportRow]:
+def _rows_gamma_level2(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
     rows = []
     for C, k in GAMMA_L2_CASES:
         expected = C - k
-        got, text = _gamma(build_wkp(C, 2), k, budget)
+        got, text = _gamma(graph(WKP, C, 2), k, budget)
         rows.append(_row(1, f"gamma WKP({C},2) k={k}", str(expected), text,
                          got == expected))
     return rows
@@ -135,18 +145,18 @@ def _rows_gamma_level2(budget: SearchBudget) -> list[ReportRow]:
 
 # --- criterion 2: exact gamma in the general regime -------------------------
 
-def _rows_gamma_general(budget: SearchBudget) -> list[ReportRow]:
+def _rows_gamma_general(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
     # Imported on use: ``wkpdom.cli`` imports this module, and every start
     # that reuses no .pyc file compiles whatever the CLI imports.
     from .forts import block_fort_certificate, check_fort_certificate
 
     rows = []
-    got, text = _gamma(build_wkp(3, 3), 1, budget)
+    got, text = _gamma(graph(WKP, 3, 3), 1, budget)
     rows.append(_row(2, "gamma WKP(3,3) k=1", "3", text, got == 3))
 
     # WKP(4,3) at gamma=8 is out of exhaustive reach: certify the upper bound
     # by construction and the lower bound by one fort group per level-3 block.
-    g = build_wkp(4, 3)
+    g = graph(WKP, 4, 3)
     S, _ = construct_kpds(4, 3, 1)
     ok = len(S) == 8 and is_kpds(g, 1, [g.ordinal(a) for a in S])
     rows.append(_row(2, "construction WKP(4,3) k=1", "verified 1-PDS of size 8",
@@ -167,10 +177,10 @@ def _rows_gamma_general(budget: SearchBudget) -> list[ReportRow]:
 GAMMA_ONE_CASES = ((1, 5, 1), (4, 1, 2), (3, 3, 3), (2, 4, 2))
 
 
-def _rows_gamma_one(budget: SearchBudget) -> list[ReportRow]:
+def _rows_gamma_one(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
     rows = []
     for C, L, k in GAMMA_ONE_CASES:
-        g = build_wkp(C, L)
+        g = graph(WKP, C, L)
         apex_ok = is_kpds(g, k, [g.ordinal(APEX)])
         got, text = _gamma(g, k, budget)
         rows.append(_row(3, f"gamma WKP({C},{L}) k={k}", "1 (apex suffices)",
@@ -183,10 +193,10 @@ def _rows_gamma_one(budget: SearchBudget) -> list[ReportRow]:
 KC1_CASES = ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3))
 
 
-def _rows_kc1() -> list[ReportRow]:
+def _rows_kc1(graph: GraphSource = _build) -> list[ReportRow]:
     rows = []
     for C, L in KC1_CASES:
-        g = build_wkp(C, L)
+        g = graph(WKP, C, L)
         expected = (L + 3) // 3
         S, _ = construct_kpds(C, L, C - 1)
         ok = len(S) == expected and is_kpds(g, C - 1, [g.ordinal(a) for a in S])
@@ -202,20 +212,20 @@ RADIUS_L2_CASES = (((2, 2), 2), ((3, 3), 2), ((2, 1), 3), ((3, 1), 3),
                    ((3, 2), 3), ((4, 2), 3))
 
 
-def _rows_radius_level2(budget: SearchBudget) -> list[ReportRow]:
+def _rows_radius_level2(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
     rows = []
     for (C, k), expected in RADIUS_L2_CASES:
-        got = propagation_radius(build_wkp(C, 2), k, budget)
+        got = propagation_radius(graph(WKP, C, 2), k, budget)
         rows.append(_row(5, f"radius WKP({C},2) k={k}", str(expected), str(got),
                          got == expected))
     return rows
 
 
-def _rows_radius_path(budget: SearchBudget) -> list[ReportRow]:
+def _rows_radius_path(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
     rows = []
     for L in range(1, 9):
         expected = (L + 1) // 2
-        got = propagation_radius(build_wkp(1, L), 1, budget)
+        got = propagation_radius(graph(WKP, 1, L), 1, budget)
         rows.append(_row(6, f"radius WKP(1,{L}) k=1", str(expected), str(got),
                          got == expected))
     return rows
@@ -227,17 +237,17 @@ RADIUS_NOTE_GENERAL = ((3, 3, 1), (4, 3, 1), (4, 3, 2), (3, 4, 1))
 RADIUS_NOTE_APEX = ((2, 3), (3, 3), (2, 4))
 
 
-def _rows_radius_note() -> list[ReportRow]:
+def _rows_radius_note(graph: GraphSource = _build) -> list[ReportRow]:
     rows = []
     for C, L, k in RADIUS_NOTE_GENERAL:
-        g = build_wkp(C, L)
+        g = graph(WKP, C, L)
         S, _ = construct_kpds(C, L, k)
         bound = max(5, L - 1)
         got = radius_of_set(g, k, [g.ordinal(a) for a in S])
         rows.append(_row(7, f"radius of built set WKP({C},{L}) k={k}", f"<= {bound}",
                          str(got), got <= bound, BOUND_HOLDS))
     for C, L in RADIUS_NOTE_APEX:
-        g = build_wkp(C, L)
+        g = graph(WKP, C, L)
         got = radius_of_set(g, C, [g.ordinal(APEX)])
         rows.append(_row(7, f"radius of apex WKP({C},{L}) k={C}", f"<= {L}",
                          str(got), got <= L, BOUND_HOLDS))
@@ -249,10 +259,10 @@ def _rows_radius_note() -> list[ReportRow]:
 LEVEL1_CASES = ((3, 1), (3, 2), (4, 3))
 
 
-def _rows_level1(budget: SearchBudget) -> list[ReportRow]:
+def _rows_level1(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
     rows = []
     for C, k in LEVEL1_CASES:
-        got = level1_intersection_check(build_wkp(C, 2), k, budget)
+        got = level1_intersection_check(graph(WKP, C, 2), k, budget)
         rows.append(_row(8, f"minimum sets meet level 1, WKP({C},2) k={k}",
                          "True", str(got), got))
     return rows
@@ -260,15 +270,15 @@ def _rows_level1(budget: SearchBudget) -> list[ReportRow]:
 
 # --- criterion 9: property suites ---------------------------------------------
 
-def _property_graphs():
-    return (build_wkp(3, 2), build_wkp(2, 3))
+def _property_graphs(graph: GraphSource = _build):
+    return (graph(WKP, 3, 2), graph(WKP, 2, 3))
 
 
-def _prop_round_monotonicity() -> tuple[bool, str]:
+def _prop_round_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
     # The engine's rounds must equal the naive ones, which are then checked
     # for growth; the engine's own rounds grow by construction.
     checked = 0
-    for g in _property_graphs():
+    for g in _property_graphs(graph):
         seeds = [{v} for v in range(g.n)] + [{0, v} for v in range(1, g.n)]
         for k in (0, 1, 2):
             for seed in seeds:
@@ -282,9 +292,9 @@ def _prop_round_monotonicity() -> tuple[bool, str]:
     return True, f"{checked} traces monotone"
 
 
-def _prop_seed_monotonicity() -> tuple[bool, str]:
+def _prop_seed_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
     checked = 0
-    for g in _property_graphs():
+    for g in _property_graphs(graph):
         for k in (0, 1, 2):
             single = [propagate_fixpoint(g, k, {v}).rounds[-1] for v in range(g.n)]
             # One run per seed set {v, u}, u > v, checks both ordered pairs
@@ -301,9 +311,9 @@ def _prop_seed_monotonicity() -> tuple[bool, str]:
     return True, f"{checked} seed pairs contained"
 
 
-def _prop_k_monotonicity() -> tuple[bool, str]:
+def _prop_k_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
     checked = 0
-    for g in _property_graphs():
+    for g in _property_graphs(graph):
         for k in (0, 1, 2):
             for v in range(g.n):
                 low = propagate_fixpoint(g, k, {v}).rounds[-1]
@@ -314,9 +324,9 @@ def _prop_k_monotonicity() -> tuple[bool, str]:
     return True, f"{checked} k steps contained"
 
 
-def _prop_k0_domination() -> tuple[bool, str]:
+def _prop_k0_domination(graph: GraphSource = _build) -> tuple[bool, str]:
     checked = 0
-    for g in _property_graphs():
+    for g in _property_graphs(graph):
         seeds = [{v} for v in range(g.n)] + [{0, v} for v in range(1, g.n)]
         for seed in seeds:
             dominating = len(reference.naive_fixpoint_rounds(g, 0, seed)[0]) == g.n
@@ -335,8 +345,8 @@ def _structure_cases():
                 yield WK, C, L
 
 
-def _check_structure(family: str, C: int, L: int) -> str | None:
-    g = build_wkp(C, L) if family == WKP else build_wk(C, L)
+def _check_structure(family: str, C: int, L: int, graph: GraphSource = _build) -> str | None:
+    g = graph(family, C, L)
     extremes = {g.ordinal(a) for a in extreme_vertices(g)}
     if family == WKP:
         if g.n != 1 + sum(C ** r for r in range(1, L + 1)):
@@ -364,21 +374,21 @@ def _check_structure(family: str, C: int, L: int) -> str | None:
     return None
 
 
-def _prop_structure() -> tuple[bool, str]:
+def _prop_structure(graph: GraphSource = _build) -> tuple[bool, str]:
     count = 0
     for family, C, L in _structure_cases():
-        problem = _check_structure(family, C, L)
+        problem = _check_structure(family, C, L, graph)
         if problem is not None:
             return False, problem
         count += 1
     return True, f"{count} graphs pass count/degree/symmetry checks"
 
 
-def _prop_ham_cycles() -> tuple[bool, str]:
+def _prop_ham_cycles(graph: GraphSource = _build) -> tuple[bool, str]:
     count = 0
     for C in (3, 4, 5):
         for m in (1, 2, 3):
-            g = build_wk(C, m)
+            g = graph(WK, C, m)
             cycle = ham_cycle_wk(C, m)
             if sorted(cycle) != list(itertools.product(range(C), repeat=m)):
                 return False, f"WK({C},{m}): cycle is not a permutation of the vertices"
@@ -397,10 +407,11 @@ def _small_wkp_cases():
                 yield C, L
 
 
-def _prop_oracle_equivalence(budget: SearchBudget) -> tuple[bool, str]:
+def _prop_oracle_equivalence(budget: SearchBudget,
+                             graph: GraphSource = _build) -> tuple[bool, str]:
     count = 0
     for C, L in _small_wkp_cases():
-        g = build_wkp(C, L)
+        g = graph(WKP, C, L)
         for k in (0, 1, 2):
             gamma, optimal, radius = reference.naive_min_kpds(g, k)
             result = min_kpds(g, k, budget, witness_cap=10_000)
@@ -411,7 +422,7 @@ def _prop_oracle_equivalence(budget: SearchBudget) -> tuple[bool, str]:
     return True, f"{count} instances agree with the 2^n scan"
 
 
-def _rows_properties(budget: SearchBudget) -> list[ReportRow]:
+def _rows_properties(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
     checks = (
         ("rounds are monotone", _prop_round_monotonicity),
         ("fixpoint grows with the seed", _prop_seed_monotonicity),
@@ -419,11 +430,11 @@ def _rows_properties(budget: SearchBudget) -> list[ReportRow]:
         ("k=0 equals domination", _prop_k0_domination),
         ("counts and degree profiles", _prop_structure),
         ("hamiltonian cycles valid", _prop_ham_cycles),
-        ("solver equals 2^n scan", lambda: _prop_oracle_equivalence(budget)),
+        ("solver equals 2^n scan", functools.partial(_prop_oracle_equivalence, budget)),
     )
     rows = []
     for claim, fn in checks:
-        ok, computed = fn()
+        ok, computed = fn(graph=graph)
         rows.append(_row(9, claim, "holds", computed, ok))
     return rows
 
@@ -433,12 +444,12 @@ def _rows_properties(budget: SearchBudget) -> list[ReportRow]:
 TIGHTNESS_PROBES = ((2, 3), (2, 4), (3, 3))
 
 
-def _rows_tightness(budget: SearchBudget) -> list[ReportRow]:
+def _rows_tightness(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
     # Recorded as data only: the bound's tightness is an open question.
     rows = []
     for C, L in TIGHTNESS_PROBES:
         bound = (L + 3) // 3
-        got, text = _gamma(build_wkp(C, L), C - 1, budget)
+        got, text = _gamma(graph(WKP, C, L), C - 1, budget)
         rows.append(_row(0, f"observed gamma WKP({C},{L}) k={C - 1}", f"<= {bound}",
                          text, got is not None and got <= bound, BOUND_HOLDS))
     return rows
@@ -448,20 +459,22 @@ def run_check_paper(budget: SearchBudget | None = None) -> ReproReport:
     """Run every reproduction row; deterministic and idempotent.
 
     Without a budget the default ``SearchBudget()`` applies; the command line
-    passes ``--budget`` or WKPDOM_MAX_CHECKS through ``cli._budget``.
+    passes ``--budget`` or WKPDOM_MAX_CHECKS through ``cli._budget``.  Each
+    graph is built once for the rows that share it, and freed on return.
     """
     budget = budget or SearchBudget()
+    graph = functools.cache(_build)
     rows: list[ReportRow] = []
-    rows.extend(_rows_gamma_level2(budget))
-    rows.extend(_rows_gamma_general(budget))
-    rows.extend(_rows_gamma_one(budget))
-    rows.extend(_rows_kc1())
-    rows.extend(_rows_radius_level2(budget))
-    rows.extend(_rows_radius_path(budget))
-    rows.extend(_rows_radius_note())
-    rows.extend(_rows_level1(budget))
-    rows.extend(_rows_properties(budget))
-    rows.extend(_rows_tightness(budget))
+    rows.extend(_rows_gamma_level2(budget, graph))
+    rows.extend(_rows_gamma_general(budget, graph))
+    rows.extend(_rows_gamma_one(budget, graph))
+    rows.extend(_rows_kc1(graph))
+    rows.extend(_rows_radius_level2(budget, graph))
+    rows.extend(_rows_radius_path(budget, graph))
+    rows.extend(_rows_radius_note(graph))
+    rows.extend(_rows_level1(budget, graph))
+    rows.extend(_rows_properties(budget, graph))
+    rows.extend(_rows_tightness(budget, graph))
     return ReproReport(tuple(rows))
 
 

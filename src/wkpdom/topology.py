@@ -257,11 +257,13 @@ def _level_offsets(family: str, C: int, L: int) -> tuple[int, ...]:
 
 
 def _check_parameters(family: str, C: int, L: int, max_vertices: int) -> None:
-    """Refuse bad dimensions and a graph of more than ``max_vertices`` vertices.
+    """Refuse a cap below 1, bad dimensions and a graph of more than ``max_vertices`` vertices.
 
     For C >= 2 a graph has at least 2^L vertices, so an L beyond the cap's
     bit length is refused before any power of C is computed.
     """
+    if max_vertices < 1:
+        raise ParameterDomainError("max_vertices must be positive")
     check_dimensions(C, L)
     if C == 1:
         over = (L + 1 if family == WKP else 1) > max_vertices

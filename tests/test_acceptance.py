@@ -61,6 +61,22 @@ def test_no_failures_anywhere(report):
     assert report.failures == ()
 
 
+def test_report_builds_each_graph_once(monkeypatch):
+    # The rows and suites share one graph per (family, C, L) for the call.
+    built = []
+
+    def recording(name, real):
+        def build(C, L):
+            built.append((name, C, L))
+            return real(C, L)
+        return build
+
+    for name in ("build_wk", "build_wkp"):
+        monkeypatch.setattr(paper_report, name, recording(name, getattr(paper_report, name)))
+    assert run_check_paper().failures == ()
+    assert len(built) == len(set(built)) == 67
+
+
 def test_round_row_fails_when_engine_rounds_leave_the_naive_ones(monkeypatch):
     # Stamping every monitored vertex with the last round keeps the rounds
     # growing, so only the comparison with the naive rounds can catch it.

@@ -505,6 +505,24 @@ class TestEnvOverrides:
         assert code == 0
 
     @pytest.mark.parametrize("argv,env", [
+        (["construct", "--C", "3", "--L", "3", "--k", "1", "--max-vertices", "-5"], None),
+        (["gen", "--C", "3", "--L", "2", "--max-vertices", "0"], None),
+        (["verify", "--C", "3", "--L", "2", "--k", "1", "--set", "(0,(1))"], "-3"),
+        (["gen", "--family", "wk", "--C", "3", "--L", "2"], "0"),
+    ], ids=["construct-flag", "gen-flag", "verify-env", "gen-wk-env"])
+    def test_vertex_cap_below_one_exit_2(self, capsys, monkeypatch, argv, env):
+        # Not "has more vertices than the cap of -5": no graph fits a cap below 1.
+        if env is None:
+            monkeypatch.delenv("WKPDOM_MAX_VERTICES", raising=False)
+        else:
+            monkeypatch.setenv("WKPDOM_MAX_VERTICES", env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: max_vertices must be positive\n"
+
+    @pytest.mark.parametrize("argv,env", [
         (["exact", "--C", "2", "--L", "2", "--k", "1", "--budget", "0"], None),
         (["radius", "--C", "2", "--L", "2", "--k", "1", "--budget", "-1"], None),
         (["check-paper"], "0"),

@@ -1,8 +1,10 @@
+import ast
 import functools
 import itertools
 import math
 import operator
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -161,17 +163,37 @@ def test_solver_agrees_with_full_subset_scan(C, L, k):
 def test_subset_scan_runs_each_subset_once_up_to_gamma(monkeypatch, C, L, gamma, runs):
     # Every subset of each size up to gamma is run once, larger ones never,
     # and an optimal set's radius comes from that same run.
-    real = reference.naive_fixpoint_rounds
-    seeds = []
+    real = reference._rounds
+    seeds, tables = [], []
 
-    def counted(g, k, S):
+    def counted(closed, k, S):
         seeds.append(frozenset(S))
-        return real(g, k, S)
+        tables.append(closed)
+        return real(closed, k, S)
 
-    monkeypatch.setattr(reference, "naive_fixpoint_rounds", counted)
+    monkeypatch.setattr(reference, "_rounds", counted)
     assert naive_min_kpds(build_wkp(C, L), 0)[0] == gamma
     assert len(seeds) == len(set(seeds)) == runs
     assert max(map(len, seeds)) == gamma
+    # Every run reads the one table of closed neighbourhoods built for the call.
+    assert all(table is tables[0] for table in tables)
+
+
+def test_reference_imports_no_wkpdom_module_but_topology():
+    # The oracle must not share code with the engine or the solver it checks.
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                imported |= ({node.module} if node.module else
+                             {alias.name for alias in node.names})
+            elif node.module.split(".")[0] == "wkpdom":
+                imported.add(node.module.partition(".")[2] or "wkpdom")
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.partition(".")[2] or "wkpdom" for alias in node.names
+                         if alias.name.split(".")[0] == "wkpdom"}
+    assert imported == {"topology"}
 
 
 def test_first_min_kpds_stops_at_the_first_minimum_set():

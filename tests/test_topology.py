@@ -186,6 +186,12 @@ class TestBuilders:
         with pytest.raises(ParameterDomainError):
             build_wkp(10, 2, max_vertices=110)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        for builder in (build_wk, build_wkp):
+            with pytest.raises(ParameterDomainError, match="^max_vertices must be positive$"):
+                builder(1, 1, max_vertices=cap)
+
 
 @pytest.mark.parametrize("family,C,L", SWEEP + LARGE_C + LONG_CLASSES)
 def test_structural_invariants(family, C, L):
