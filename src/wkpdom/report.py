@@ -12,6 +12,10 @@ rows about rounds hold the engine against ``reference``.  Rows are grouped
 by acceptance-criterion number; criterion 0 collects informational probes
 that assert only a bound, not equality.
 
+Every row takes its graphs from ``_graph``, a cache that ``run_check_paper``
+empties on entry and on exit, so each graph is built once per call; a row
+called on its own builds into the same cache.
+
 Everything here is deterministic: fixed instance lists, fixed budgets,
 no randomness.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from typing import Callable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import reference
 from .constructions import construct_kpds, ham_cycle_wk
@@ -101,12 +105,8 @@ class ReproReport(NamedTuple):
         return "\n".join(lines)
 
 
-#: The graph for (family, C, L); ``run_check_paper`` passes one that builds
-#: each graph once per call, and a row called on its own builds its own.
-GraphSource = Callable[[str, int, int], PyramidGraph]
-
-
-def _build(family: str, C: int, L: int) -> PyramidGraph:
+@functools.cache
+def _graph(family: str, C: int, L: int) -> PyramidGraph:
     return build_wkp(C, L) if family == WKP else build_wk(C, L)
 
 
@@ -133,43 +133,39 @@ def _gamma(g: PyramidGraph, k: int, budget: SearchBudget) -> tuple[int | None, s
 GAMMA_L2_CASES = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 4))
 
 
-def _rows_gamma_level2(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
-    rows = []
+def _rows_gamma_level2(budget: SearchBudget) -> Iterator[ReportRow]:
     for C, k in GAMMA_L2_CASES:
         expected = C - k
-        got, text = _gamma(graph(WKP, C, 2), k, budget)
-        rows.append(_row(1, f"gamma WKP({C},2) k={k}", str(expected), text,
-                         got == expected))
-    return rows
+        got, text = _gamma(_graph(WKP, C, 2), k, budget)
+        yield _row(1, f"gamma WKP({C},2) k={k}", str(expected), text,
+                   got == expected)
 
 
 # --- criterion 2: exact gamma in the general regime -------------------------
 
-def _rows_gamma_general(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
+def _rows_gamma_general(budget: SearchBudget) -> Iterator[ReportRow]:
     # Imported on use: ``wkpdom.cli`` imports this module, and every start
     # that reuses no .pyc file compiles whatever the CLI imports.
     from .forts import block_fort_certificate, check_fort_certificate
 
-    rows = []
-    got, text = _gamma(graph(WKP, 3, 3), 1, budget)
-    rows.append(_row(2, "gamma WKP(3,3) k=1", "3", text, got == 3))
+    got, text = _gamma(_graph(WKP, 3, 3), 1, budget)
+    yield _row(2, "gamma WKP(3,3) k=1", "3", text, got == 3)
 
     # WKP(4,3) at gamma=8 is out of exhaustive reach: certify the upper bound
     # by construction and the lower bound by one fort group per level-3 block.
-    g = graph(WKP, 4, 3)
+    g = _graph(WKP, 4, 3)
     S, _ = construct_kpds(4, 3, 1)
     ok = len(S) == 8 and is_kpds(g, 1, [g.ordinal(a) for a in S])
-    rows.append(_row(2, "construction WKP(4,3) k=1", "verified 1-PDS of size 8",
-                     f"size {len(S)}, verified={ok}", ok))
+    yield _row(2, "construction WKP(4,3) k=1", "verified 1-PDS of size 8",
+               f"size {len(S)}, verified={ok}", ok)
     cert = block_fort_certificate(g, 1)
     try:
         bound = check_fort_certificate(g, 1, cert)
         computed = f"certified by {len(cert)} block-fort groups: gamma >= {bound}"
     except ValueError as exc:
         bound, computed = 0, f"certificate rejected: {exc}"
-    rows.append(_row(2, "lower bound WKP(4,3) k=1", "no 1-PDS below size 8",
-                     computed, bound >= 8))
-    return rows
+    yield _row(2, "lower bound WKP(4,3) k=1", "no 1-PDS below size 8",
+               computed, bound >= 8)
 
 
 # --- criterion 3: the single-vertex regime -----------------------------------
@@ -177,15 +173,13 @@ def _rows_gamma_general(budget: SearchBudget, graph: GraphSource = _build) -> li
 GAMMA_ONE_CASES = ((1, 5, 1), (4, 1, 2), (3, 3, 3), (2, 4, 2))
 
 
-def _rows_gamma_one(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
-    rows = []
+def _rows_gamma_one(budget: SearchBudget) -> Iterator[ReportRow]:
     for C, L, k in GAMMA_ONE_CASES:
-        g = graph(WKP, C, L)
+        g = _graph(WKP, C, L)
         apex_ok = is_kpds(g, k, [g.ordinal(APEX)])
         got, text = _gamma(g, k, budget)
-        rows.append(_row(3, f"gamma WKP({C},{L}) k={k}", "1 (apex suffices)",
-                         f"{text} (apex suffices: {apex_ok})", apex_ok and got == 1))
-    return rows
+        yield _row(3, f"gamma WKP({C},{L}) k={k}", "1 (apex suffices)",
+                   f"{text} (apex suffices: {apex_ok})", apex_ok and got == 1)
 
 
 # --- criterion 4: k=C-1 spine construction -----------------------------------
@@ -193,17 +187,15 @@ def _rows_gamma_one(budget: SearchBudget, graph: GraphSource = _build) -> list[R
 KC1_CASES = ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3))
 
 
-def _rows_kc1(graph: GraphSource = _build) -> list[ReportRow]:
-    rows = []
+def _rows_kc1() -> Iterator[ReportRow]:
     for C, L in KC1_CASES:
-        g = graph(WKP, C, L)
+        g = _graph(WKP, C, L)
         expected = (L + 3) // 3
         S, _ = construct_kpds(C, L, C - 1)
         ok = len(S) == expected and is_kpds(g, C - 1, [g.ordinal(a) for a in S])
-        rows.append(_row(4, f"spine set WKP({C},{L}) k={C - 1}",
-                         f"verified PDS of size {expected}",
-                         f"size {len(S)}, verified={ok}", ok))
-    return rows
+        yield _row(4, f"spine set WKP({C},{L}) k={C - 1}",
+                   f"verified PDS of size {expected}",
+                   f"size {len(S)}, verified={ok}", ok)
 
 
 # --- criteria 5 and 6: propagation radii -------------------------------------
@@ -212,23 +204,19 @@ RADIUS_L2_CASES = (((2, 2), 2), ((3, 3), 2), ((2, 1), 3), ((3, 1), 3),
                    ((3, 2), 3), ((4, 2), 3))
 
 
-def _rows_radius_level2(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
-    rows = []
+def _rows_radius_level2(budget: SearchBudget) -> Iterator[ReportRow]:
     for (C, k), expected in RADIUS_L2_CASES:
-        got = propagation_radius(graph(WKP, C, 2), k, budget)
-        rows.append(_row(5, f"radius WKP({C},2) k={k}", str(expected), str(got),
-                         got == expected))
-    return rows
+        got = propagation_radius(_graph(WKP, C, 2), k, budget)
+        yield _row(5, f"radius WKP({C},2) k={k}", str(expected), str(got),
+                   got == expected)
 
 
-def _rows_radius_path(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
-    rows = []
+def _rows_radius_path(budget: SearchBudget) -> Iterator[ReportRow]:
     for L in range(1, 9):
         expected = (L + 1) // 2
-        got = propagation_radius(graph(WKP, 1, L), 1, budget)
-        rows.append(_row(6, f"radius WKP(1,{L}) k=1", str(expected), str(got),
-                         got == expected))
-    return rows
+        got = propagation_radius(_graph(WKP, 1, L), 1, budget)
+        yield _row(6, f"radius WKP(1,{L}) k=1", str(expected), str(got),
+                   got == expected)
 
 
 # --- criterion 7: radius upper bounds ----------------------------------------
@@ -237,21 +225,19 @@ RADIUS_NOTE_GENERAL = ((3, 3, 1), (4, 3, 1), (4, 3, 2), (3, 4, 1))
 RADIUS_NOTE_APEX = ((2, 3), (3, 3), (2, 4))
 
 
-def _rows_radius_note(graph: GraphSource = _build) -> list[ReportRow]:
-    rows = []
+def _rows_radius_note() -> Iterator[ReportRow]:
     for C, L, k in RADIUS_NOTE_GENERAL:
-        g = graph(WKP, C, L)
+        g = _graph(WKP, C, L)
         S, _ = construct_kpds(C, L, k)
         bound = max(5, L - 1)
         got = radius_of_set(g, k, [g.ordinal(a) for a in S])
-        rows.append(_row(7, f"radius of built set WKP({C},{L}) k={k}", f"<= {bound}",
-                         str(got), got <= bound, BOUND_HOLDS))
+        yield _row(7, f"radius of built set WKP({C},{L}) k={k}", f"<= {bound}",
+                   str(got), got <= bound, BOUND_HOLDS)
     for C, L in RADIUS_NOTE_APEX:
-        g = graph(WKP, C, L)
+        g = _graph(WKP, C, L)
         got = radius_of_set(g, C, [g.ordinal(APEX)])
-        rows.append(_row(7, f"radius of apex WKP({C},{L}) k={C}", f"<= {L}",
-                         str(got), got <= L, BOUND_HOLDS))
-    return rows
+        yield _row(7, f"radius of apex WKP({C},{L}) k={C}", f"<= {L}",
+                   str(got), got <= L, BOUND_HOLDS)
 
 
 # --- criterion 8: minimum sets meet level 1 ----------------------------------
@@ -259,26 +245,24 @@ def _rows_radius_note(graph: GraphSource = _build) -> list[ReportRow]:
 LEVEL1_CASES = ((3, 1), (3, 2), (4, 3))
 
 
-def _rows_level1(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
-    rows = []
+def _rows_level1(budget: SearchBudget) -> Iterator[ReportRow]:
     for C, k in LEVEL1_CASES:
-        got = level1_intersection_check(graph(WKP, C, 2), k, budget)
-        rows.append(_row(8, f"minimum sets meet level 1, WKP({C},2) k={k}",
-                         "True", str(got), got))
-    return rows
+        got = level1_intersection_check(_graph(WKP, C, 2), k, budget)
+        yield _row(8, f"minimum sets meet level 1, WKP({C},2) k={k}",
+                   "True", str(got), got)
 
 
 # --- criterion 9: property suites ---------------------------------------------
 
-def _property_graphs(graph: GraphSource = _build):
-    return (graph(WKP, 3, 2), graph(WKP, 2, 3))
+def _property_graphs():
+    return (_graph(WKP, 3, 2), _graph(WKP, 2, 3))
 
 
-def _prop_round_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
+def _prop_round_monotonicity() -> tuple[bool, str]:
     # The engine's rounds must equal the naive ones, which are then checked
     # for growth; the engine's own rounds grow by construction.
     checked = 0
-    for g in _property_graphs(graph):
+    for g in _property_graphs():
         seeds = [{v} for v in range(g.n)] + [{0, v} for v in range(1, g.n)]
         for k in (0, 1, 2):
             for seed in seeds:
@@ -292,9 +276,9 @@ def _prop_round_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
     return True, f"{checked} traces monotone"
 
 
-def _prop_seed_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
+def _prop_seed_monotonicity() -> tuple[bool, str]:
     checked = 0
-    for g in _property_graphs(graph):
+    for g in _property_graphs():
         for k in (0, 1, 2):
             single = [propagate_fixpoint(g, k, {v}).rounds[-1] for v in range(g.n)]
             # One run per seed set {v, u}, u > v, checks both ordered pairs
@@ -311,9 +295,9 @@ def _prop_seed_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
     return True, f"{checked} seed pairs contained"
 
 
-def _prop_k_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
+def _prop_k_monotonicity() -> tuple[bool, str]:
     checked = 0
-    for g in _property_graphs(graph):
+    for g in _property_graphs():
         for k in (0, 1, 2):
             for v in range(g.n):
                 low = propagate_fixpoint(g, k, {v}).rounds[-1]
@@ -324,12 +308,12 @@ def _prop_k_monotonicity(graph: GraphSource = _build) -> tuple[bool, str]:
     return True, f"{checked} k steps contained"
 
 
-def _prop_k0_domination(graph: GraphSource = _build) -> tuple[bool, str]:
+def _prop_k0_domination() -> tuple[bool, str]:
     checked = 0
-    for g in _property_graphs(graph):
+    for g in _property_graphs():
         seeds = [{v} for v in range(g.n)] + [{0, v} for v in range(1, g.n)]
         for seed in seeds:
-            dominating = len(reference.naive_fixpoint_rounds(g, 0, seed)[0]) == g.n
+            dominating = len(seed.union(*(g.adjacency[v] for v in seed))) == g.n
             if is_kpds(g, 0, seed) != dominating:
                 return False, f"k=0 disagrees with domination for seed {seed}"
             checked += 1
@@ -345,8 +329,8 @@ def _structure_cases():
                 yield WK, C, L
 
 
-def _check_structure(family: str, C: int, L: int, graph: GraphSource = _build) -> str | None:
-    g = graph(family, C, L)
+def _check_structure(family: str, C: int, L: int) -> str | None:
+    g = _graph(family, C, L)
     extremes = {g.ordinal(a) for a in extreme_vertices(g)}
     if family == WKP:
         if g.n != 1 + sum(C ** r for r in range(1, L + 1)):
@@ -374,21 +358,21 @@ def _check_structure(family: str, C: int, L: int, graph: GraphSource = _build) -
     return None
 
 
-def _prop_structure(graph: GraphSource = _build) -> tuple[bool, str]:
+def _prop_structure() -> tuple[bool, str]:
     count = 0
     for family, C, L in _structure_cases():
-        problem = _check_structure(family, C, L, graph)
+        problem = _check_structure(family, C, L)
         if problem is not None:
             return False, problem
         count += 1
     return True, f"{count} graphs pass count/degree/symmetry checks"
 
 
-def _prop_ham_cycles(graph: GraphSource = _build) -> tuple[bool, str]:
+def _prop_ham_cycles() -> tuple[bool, str]:
     count = 0
     for C in (3, 4, 5):
         for m in (1, 2, 3):
-            g = graph(WK, C, m)
+            g = _graph(WK, C, m)
             cycle = ham_cycle_wk(C, m)
             if sorted(cycle) != list(itertools.product(range(C), repeat=m)):
                 return False, f"WK({C},{m}): cycle is not a permutation of the vertices"
@@ -407,11 +391,10 @@ def _small_wkp_cases():
                 yield C, L
 
 
-def _prop_oracle_equivalence(budget: SearchBudget,
-                             graph: GraphSource = _build) -> tuple[bool, str]:
+def _prop_oracle_equivalence(budget: SearchBudget) -> tuple[bool, str]:
     count = 0
     for C, L in _small_wkp_cases():
-        g = graph(WKP, C, L)
+        g = _graph(WKP, C, L)
         for k in (0, 1, 2):
             gamma, optimal, radius = reference.naive_min_kpds(g, k)
             result = min_kpds(g, k, budget, witness_cap=10_000)
@@ -422,21 +405,17 @@ def _prop_oracle_equivalence(budget: SearchBudget,
     return True, f"{count} instances agree with the 2^n scan"
 
 
-def _rows_properties(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
-    checks = (
-        ("rounds are monotone", _prop_round_monotonicity),
-        ("fixpoint grows with the seed", _prop_seed_monotonicity),
-        ("fixpoint grows with k", _prop_k_monotonicity),
-        ("k=0 equals domination", _prop_k0_domination),
-        ("counts and degree profiles", _prop_structure),
-        ("hamiltonian cycles valid", _prop_ham_cycles),
-        ("solver equals 2^n scan", functools.partial(_prop_oracle_equivalence, budget)),
-    )
-    rows = []
-    for claim, fn in checks:
-        ok, computed = fn(graph=graph)
-        rows.append(_row(9, claim, "holds", computed, ok))
-    return rows
+def _rows_properties(budget: SearchBudget) -> Iterator[ReportRow]:
+    for claim, (ok, computed) in (
+        ("rounds are monotone", _prop_round_monotonicity()),
+        ("fixpoint grows with the seed", _prop_seed_monotonicity()),
+        ("fixpoint grows with k", _prop_k_monotonicity()),
+        ("k=0 equals domination", _prop_k0_domination()),
+        ("counts and degree profiles", _prop_structure()),
+        ("hamiltonian cycles valid", _prop_ham_cycles()),
+        ("solver equals 2^n scan", _prop_oracle_equivalence(budget)),
+    ):
+        yield _row(9, claim, "holds", computed, ok)
 
 
 # --- informational: is the k=C-1 bound tight at desk scale? -------------------
@@ -444,15 +423,13 @@ def _rows_properties(budget: SearchBudget, graph: GraphSource = _build) -> list[
 TIGHTNESS_PROBES = ((2, 3), (2, 4), (3, 3))
 
 
-def _rows_tightness(budget: SearchBudget, graph: GraphSource = _build) -> list[ReportRow]:
+def _rows_tightness(budget: SearchBudget) -> Iterator[ReportRow]:
     # Recorded as data only: the bound's tightness is an open question.
-    rows = []
     for C, L in TIGHTNESS_PROBES:
         bound = (L + 3) // 3
-        got, text = _gamma(graph(WKP, C, L), C - 1, budget)
-        rows.append(_row(0, f"observed gamma WKP({C},{L}) k={C - 1}", f"<= {bound}",
-                         text, got is not None and got <= bound, BOUND_HOLDS))
-    return rows
+        got, text = _gamma(_graph(WKP, C, L), C - 1, budget)
+        yield _row(0, f"observed gamma WKP({C},{L}) k={C - 1}", f"<= {bound}",
+                   text, got is not None and got <= bound, BOUND_HOLDS)
 
 
 def run_check_paper(budget: SearchBudget | None = None) -> ReproReport:
@@ -460,22 +437,19 @@ def run_check_paper(budget: SearchBudget | None = None) -> ReproReport:
 
     Without a budget the default ``SearchBudget()`` applies; the command line
     passes ``--budget`` or WKPDOM_MAX_CHECKS through ``cli._budget``.  Each
-    graph is built once for the rows that share it, and freed on return.
+    graph is built once per call into ``_graph``, which this empties on
+    entry and on exit.
     """
     budget = budget or SearchBudget()
-    graph = functools.cache(_build)
-    rows: list[ReportRow] = []
-    rows.extend(_rows_gamma_level2(budget, graph))
-    rows.extend(_rows_gamma_general(budget, graph))
-    rows.extend(_rows_gamma_one(budget, graph))
-    rows.extend(_rows_kc1(graph))
-    rows.extend(_rows_radius_level2(budget, graph))
-    rows.extend(_rows_radius_path(budget, graph))
-    rows.extend(_rows_radius_note(graph))
-    rows.extend(_rows_level1(budget, graph))
-    rows.extend(_rows_properties(budget, graph))
-    rows.extend(_rows_tightness(budget, graph))
-    return ReproReport(tuple(rows))
+    _graph.cache_clear()
+    try:
+        return ReproReport((
+            *_rows_gamma_level2(budget), *_rows_gamma_general(budget), *_rows_gamma_one(budget),
+            *_rows_kc1(), *_rows_radius_level2(budget), *_rows_radius_path(budget),
+            *_rows_radius_note(), *_rows_level1(budget), *_rows_properties(budget),
+            *_rows_tightness(budget)))
+    finally:
+        _graph.cache_clear()
 
 
 def report_to_json_text(report: ReproReport) -> str:

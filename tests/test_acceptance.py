@@ -10,7 +10,7 @@ by a block-fort certificate.
 import pytest
 
 import wkpdom.report as paper_report
-from wkpdom import NEVER, propagation
+from wkpdom import NEVER, BudgetExceededError, propagation
 from wkpdom.report import run_check_paper
 from wkpdom.topology import PyramidGraph, address_list
 
@@ -62,7 +62,8 @@ def test_no_failures_anywhere(report):
 
 
 def test_report_builds_each_graph_once(monkeypatch):
-    # The rows and suites share one graph per (family, C, L) for the call.
+    # The rows and suites share one graph per (family, C, L) for the call;
+    # a row group run first warms the cache, which the call empties on entry.
     built = []
 
     def recording(name, real):
@@ -73,8 +74,18 @@ def test_report_builds_each_graph_once(monkeypatch):
 
     for name in ("build_wk", "build_wkp"):
         monkeypatch.setattr(paper_report, name, recording(name, getattr(paper_report, name)))
+    assert all(row.ok for row in paper_report._rows_kc1())
+    built.clear()
     assert run_check_paper().failures == ()
     assert len(built) == len(set(built)) == 67
+
+
+def test_report_leaves_no_graph_cached():
+    run_check_paper()
+    assert paper_report._graph.cache_info().currsize == 0
+    with pytest.raises(BudgetExceededError):
+        run_check_paper(paper_report.SearchBudget(1))
+    assert paper_report._graph.cache_info().currsize == 0
 
 
 def test_round_row_fails_when_engine_rounds_leave_the_naive_ones(monkeypatch):
@@ -181,10 +192,10 @@ def test_oracle_row_fails_when_the_solver_drops_a_witness(monkeypatch):
 def _gamma_rows():
     """The 15 rows that print only gamma, in report order."""
     budget = paper_report.SearchBudget()
-    return (paper_report._rows_gamma_level2(budget)
-            + paper_report._rows_gamma_general(budget)[:1]
-            + paper_report._rows_gamma_one(budget)
-            + paper_report._rows_tightness(budget))
+    return [*paper_report._rows_gamma_level2(budget),
+            next(paper_report._rows_gamma_general(budget)),
+            *paper_report._rows_gamma_one(budget),
+            *paper_report._rows_tightness(budget)]
 
 
 def _witnesses_recorded(monkeypatch, mutate=lambda witness: witness):
