@@ -211,7 +211,50 @@ def cmd_check_paper(args: argparse.Namespace) -> int:
     return EXIT_REPORT_FAIL if report.failures else EXIT_OK
 
 
+#: Each verb's handler, help line and ``--format`` choices (the first is the default).
+VERBS = {
+    "gen": (cmd_gen, "generate a graph and export it", ("json", "dot")),
+    "construct": (cmd_construct, "build the closed-form k-PDS with a certificate", ("json", "text")),
+    "verify": (cmd_verify, "check whether a seed set is a k-PDS", ("json", "text")),
+    "exact": (cmd_exact, "exhaustive minimum k-PDS search", ("json", "text")),
+    "radius": (cmd_radius, "propagation radius over all minimum k-PDS", ("json", "text")),
+    "trace": (cmd_trace, "round-by-round monitoring trace for a seed set", ("json", "text")),
+    "check-paper": (cmd_check_paper, "run the full reproduction report", ("text", "json")),
+}
+_SET_EXAMPLES = {"verify": "(0,(1));(1,(0))", "trace": "(1,(2));(2,(01))"}
+
+
+def _verb_arguments(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """Give ``p`` the arguments of ``verb``: the one definition both parser paths use."""
+    func, _, formats = VERBS[verb]
+    if verb != "check-paper":
+        p.add_argument("--C", type=int, required=True, help="digits per level, C >= 1")
+        p.add_argument("--L", type=int, required=True, help="number of levels, L >= 1")
+        if verb != "gen":
+            p.add_argument("--k", type=int, required=True, help="propagation allowance")
+        p.add_argument("--max-vertices", type=int, default=None,
+                       help="override the construction size cap")
+    if verb in ("exact", "radius", "check-paper"):
+        p.add_argument("--budget", type=int, default=None,
+                       help=f"max propagation checks (default {DEFAULT_MAX_CHECKS} "
+                            "or WKPDOM_MAX_CHECKS)")
+    if verb in ("exact", "radius"):
+        p.add_argument("--progress", action="store_true",
+                       help="print enumeration progress to stderr")
+    if verb in _SET_EXAMPLES:
+        p.add_argument("--set", required=True,
+                       help=f'seed addresses, e.g. "{_SET_EXAMPLES[verb]}"')
+    if verb == "gen":
+        p.add_argument("--family", choices=("wkp", "wk"), default="wkp")
+    p.add_argument("--format", choices=formats, default=formats[0])
+    if verb == "gen":
+        p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, which answers ``-h``, a missing or unknown verb and leftovers."""
     parser = argparse.ArgumentParser(
         prog="wkpdom",
         description="k-power domination on WK-recursive mesh and WK-pyramid networks",
@@ -219,74 +262,28 @@ def build_parser() -> argparse.ArgumentParser:
                "WKPDOM_MAX_VERTICES (construction cap).",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def graph_args(p: argparse.ArgumentParser, with_k: bool = True) -> None:
-        p.add_argument("--C", type=int, required=True, help="digits per level, C >= 1")
-        p.add_argument("--L", type=int, required=True, help="number of levels, L >= 1")
-        if with_k:
-            p.add_argument("--k", type=int, required=True, help="propagation allowance")
-        p.add_argument("--max-vertices", type=int, default=None,
-                       help="override the construction size cap")
-
-    def budget_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=None,
-                       help=f"max propagation checks (default {DEFAULT_MAX_CHECKS} "
-                            "or WKPDOM_MAX_CHECKS)")
-
-    def solver_args(p: argparse.ArgumentParser) -> None:
-        budget_arg(p)
-        p.add_argument("--progress", action="store_true",
-                       help="print enumeration progress to stderr")
-
-    p = sub.add_parser("gen", help="generate a graph and export it")
-    graph_args(p, with_k=False)
-    p.add_argument("--family", choices=("wkp", "wk"), default="wkp")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("construct", help="build the closed-form k-PDS with a certificate")
-    graph_args(p)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="check whether a seed set is a k-PDS")
-    graph_args(p)
-    p.add_argument("--set", required=True,
-                   help='seed addresses, e.g. "(0,(1));(1,(0))"')
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("exact", help="exhaustive minimum k-PDS search")
-    graph_args(p)
-    solver_args(p)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("radius", help="propagation radius over all minimum k-PDS")
-    graph_args(p)
-    solver_args(p)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_radius)
-
-    p = sub.add_parser("trace", help="round-by-round monitoring trace for a seed set")
-    graph_args(p)
-    p.add_argument("--set", required=True,
-                   help='seed addresses, e.g. "(1,(2));(2,(01))"')
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("check-paper", help="run the full reproduction report")
-    budget_arg(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_check_paper)
-
+    for verb, (_, help_line, _) in VERBS.items():
+        _verb_arguments(sub.add_parser(verb, help=help_line), verb)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with only its verb's parser, the one ``build_parser`` would pass it to.
+
+    ``add_parser`` names that parser ``wkpdom <verb>``, so its usage, help
+    and errors are the same.  Arguments it leaves over go to the full
+    parser, whose error names them as before.
+    """
+    if argv and argv[0] in VERBS:
+        parser = _verb_arguments(argparse.ArgumentParser(prog=f"wkpdom {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .topology import PyramidGraph
 
@@ -64,6 +64,14 @@ def naive_round(g: PyramidGraph, k: int, P: set[int]) -> set[int]:
 def naive_fixpoint_rounds(g: PyramidGraph, k: int, S: Iterable[int]) -> list[set[int]]:
     """All rounds from N[S] until coverage, or until two equal rounds."""
     return _rounds(_closed_sets(g), k, S)
+
+
+def naive_fixpoint_runs(g: PyramidGraph, k: int,
+                        seeds: Iterable[Iterable[int]]) -> Iterator[list[set[int]]]:
+    """``naive_fixpoint_rounds`` of each seed set in turn, all read from one N[v] table."""
+    closed = _closed_sets(g)
+    for S in seeds:
+        yield _rounds(closed, k, S)
 
 
 def naive_is_kpds(g: PyramidGraph, k: int, S: Iterable[int]) -> bool:

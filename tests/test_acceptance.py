@@ -10,7 +10,7 @@ by a block-fort certificate.
 import pytest
 
 import wkpdom.report as paper_report
-from wkpdom import NEVER, BudgetExceededError, propagation
+from wkpdom import NEVER, BudgetExceededError, propagation, reference
 from wkpdom.report import run_check_paper
 from wkpdom.topology import PyramidGraph, address_list
 
@@ -102,6 +102,25 @@ def test_round_row_fails_when_engine_rounds_leave_the_naive_ones(monkeypatch):
     monkeypatch.setattr(paper_report, "propagate_fixpoint", late)
     ok, computed = paper_report._prop_round_monotonicity()
     assert not ok, computed
+
+
+def test_report_builds_561_closed_neighbourhoods(monkeypatch):
+    # Each oracle scan and each (graph, k) of the round suite reads one N[v]
+    # table: 477 sets for the oracle row's 22 graphs at three k values, and
+    # 3 x (13 + 15) for the round suite's two graphs.
+    built = []
+    real = reference._closed_sets
+
+    def counted(g):
+        built.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(reference, "_closed_sets", counted)
+    assert paper_report._prop_round_monotonicity()[0]
+    assert built == [13] * 3 + [15] * 3
+    built.clear()
+    assert run_check_paper().failures == ()
+    assert sum(built) == 561
 
 
 def test_domination_row_fails_when_the_engine_misreads_closed_neighbourhoods(monkeypatch):

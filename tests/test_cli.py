@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -254,6 +255,68 @@ class TestStartup:
         loaded = set(out.stdout.split())
         assert "wkpdom.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "wkpdom.forts"}
+
+
+def _valid_argv(verb):
+    """A small call of ``verb`` that parses."""
+    argv = [verb]
+    if verb != "check-paper":
+        argv += ["--C", "2", "--L", "2"] + ([] if verb == "gen" else ["--k", "1"])
+    if verb in ("verify", "trace"):
+        argv += ["--set", "(0,(1))"]
+    return argv
+
+
+def _parse_errors():
+    for verb in cli.VERBS:
+        argv = _valid_argv(verb)
+        if verb != "check-paper":
+            yield verb, "missing --C", argv[:1] + argv[3:]
+            yield verb, "--C x", argv[:2] + ["x"] + argv[3:]
+        else:
+            yield verb, "--C x", argv + ["--C", "x"]
+        yield verb, "bad --format", argv + ["--format", "xml"]
+        yield verb, "--threads 4", argv + ["--threads", "4"]
+        yield verb, "extra positional", argv + ["extra"]
+
+
+class TestParsers:
+    # A call builds only its verb's parser; the full parser answers -h, a
+    # missing or unknown verb and leftover arguments.  Either way the user
+    # sees what the full parser alone would print.
+    @staticmethod
+    def _exit(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_help_matches_the_full_parser(self, capsys, verb):
+        full = self._exit(capsys, cli.build_parser().parse_args, [verb, "--help"])
+        assert full[0] == 0 and full[1].out.startswith(f"usage: wkpdom {verb} ")
+        assert self._exit(capsys, main, [verb, "--help"]) == full
+
+    @pytest.mark.parametrize("argv", [pytest.param(argv, id=f"{verb}-{case}")
+                                      for verb, case, argv in _parse_errors()])
+    def test_errors_match_the_full_parser(self, capsys, argv):
+        full = self._exit(capsys, cli.build_parser().parse_args, argv)
+        assert full[0] == 2 and full[1].out == "" and "error: " in full[1].err
+        assert self._exit(capsys, main, argv) == full
+
+    def test_a_verb_call_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(_valid_argv("construct")) == 0
+        assert built == ["wkpdom construct"]
+        built.clear()
+        assert self._exit(capsys, main, ["--help"])[0] == 0
+        assert built == ["wkpdom"] + [f"wkpdom {verb}" for verb in cli.VERBS]
 
 
 class TestVerify:

@@ -31,6 +31,7 @@ from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
 from wkpdom.propagation import json_text, trace_fields
 from wkpdom.reference import (
     naive_fixpoint_rounds,
+    naive_fixpoint_runs,
     naive_is_kpds,
     naive_min_kpds,
     naive_radius,
@@ -146,6 +147,13 @@ class TestFixpoint:
         g = build_wkp(1, 4)  # path on 5 vertices, apex at one end
         trace = propagate_fixpoint(g, 1, [g.ordinal(APEX)])
         assert list(trace.first_step) == [0, 0, 1, 2, 3]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=["wkp32", "wkp23"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_naive_runs_equal_one_call_per_seed(self, g, k):
+        seeds = [{v} for v in range(g.n)] + [{0, v} for v in range(1, g.n)] + [set()]
+        runs = list(naive_fixpoint_runs(g, k, seeds))
+        assert runs == [naive_fixpoint_rounds(g, k, seed) for seed in seeds]
 
     @pytest.mark.parametrize("g", GRAPHS, ids=["wkp32", "wkp23"])
     @given(seed=seed_sets, k=ks)
