@@ -6,11 +6,11 @@ minimum search), ``radius`` (graph propagation radius), ``trace``
 (round-by-round propagation), ``check-paper`` (full reproduction report).
 
 Exit codes: 0 ok, 1 reproduction-report failure or a constructed set that
-fails verification, 2 parameter or parse error (an unwritable ``gen
---output`` path included), 3 budget exceeded, 4 regime violation, 141 when
-the reader of standard output closes it before everything is written (as
-``| head`` does; the shell's status for a process stopped by SIGPIPE).
-Nothing is printed then.
+fails verification, 2 parameter or parse error (a failed write to ``gen
+--output`` or to standard output included), 3 budget exceeded, 4 regime
+violation, 141 when the reader of standard output closes it before
+everything is written (as ``| head`` does; the shell's status for a
+process stopped by SIGPIPE).  Nothing is printed then.
 
 ``construct`` and ``trace`` write their JSON as it is encoded, a round at
 a time (``propagation.json_text``), so no whole document is held in
@@ -20,6 +20,7 @@ memory and an early-closing reader cuts the output mid-document.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import Sequence
@@ -34,7 +35,7 @@ from .exact import (
     propagation_radius,
 )
 from .propagation import MonitorTrace, json_text, propagate_fixpoint, radius_to_json, trace_fields
-from .report import report_to_json_text, run_check_paper
+from .report import run_check_paper
 from .topology import (
     DEFAULT_MAX_VERTICES,
     Address,
@@ -117,14 +118,8 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
         write("\n")
 
 
-def _progress_printer(enabled: bool):
-    if not enabled:
-        return None
-
-    def report(size: int, done: int, total: int) -> None:
-        print(f"size {size}: {done}/{total} subsets checked", file=sys.stderr)
-
-    return report
+def _print_progress(size: int, done: int, total: int) -> None:
+    print(f"size {size}: {done}/{total} subsets checked", file=sys.stderr)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -134,11 +129,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     pieces = export_pieces(g, args.format)
     if args.output:
         try:
-            fh = open(args.output, "w")
+            with open(args.output, "w") as fh:
+                fh.writelines(pieces)
         except OSError as exc:
             raise ParameterDomainError(f"cannot write {args.output}: {exc.strerror}") from None
-        with fh:
-            fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
     return EXIT_OK
@@ -184,7 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     check_printable(args.C)  # before the search whose witness could not be printed
     g = _pyramid(args)
-    result = min_kpds(g, args.k, _budget(args), progress=_progress_printer(args.progress))
+    result = min_kpds(g, args.k, _budget(args),
+                      progress=_print_progress if args.progress else None)
     _emit(exact_result_to_json(g, args.k, result), args)
     return EXIT_OK
 
@@ -192,7 +187,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def cmd_radius(args: argparse.Namespace) -> int:
     g = _pyramid(args)
     value = propagation_radius(g, args.k, _budget(args),
-                               progress=_progress_printer(args.progress))
+                               progress=_print_progress if args.progress else None)
     _emit({"C": args.C, "L": args.L, "k": args.k, "radius": value}, args)
     return EXIT_OK
 
@@ -205,7 +200,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_check_paper(args: argparse.Namespace) -> int:
     report = run_check_paper(_budget(args))
     if args.format == "json":
-        sys.stdout.write(report_to_json_text(report))
+        sys.stdout.write(json.dumps(report.to_json(), indent=2) + "\n")
     else:
         print(report.format_text())
     return EXIT_REPORT_FAIL if report.failures else EXIT_OK
@@ -291,14 +286,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
-    except BrokenPipeError:
-        # What stdout still buffers can never be delivered.  Its descriptor,
-        # not the stream, is pointed at devnull: the interpreter's last flush
-        # then succeeds, and no second file is left open at exit.
+    except OSError as exc:
+        # Standard output failed, its reader gone or its device full: what
+        # it still buffers can never be delivered.  Its descriptor, not the
+        # stream, is pointed at devnull: the interpreter's last flush then
+        # succeeds, and no second file is left open at exit.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_PIPE
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -69,15 +69,6 @@ NEVER = math.inf
 Rows = Sequence[tuple[int, ...]]
 
 
-def _vertex_set(g: PyramidGraph, S: Iterable[int]) -> set[int]:
-    S = set(S)
-    n = g.n
-    for v in S:
-        if not 0 <= v < n:
-            raise ParameterDomainError(f"vertex ordinal {v} out of range for |V|={n}")
-    return S
-
-
 def _closed(adj: Rows, S: Iterable[int], first: list) -> list[int]:
     """The vertices of N[S] not yet monitored in ``first``, now stamped round 0."""
     P = []
@@ -197,9 +188,12 @@ class MonitorTrace(NamedTuple):
 def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrace:
     """Run rounds from the closed neighborhood of S until coverage or fixpoint."""
     check_k(k)
-    S = _vertex_set(g, S)
+    S, n = frozenset(S), g.n
+    for v in S:
+        if not 0 <= v < n:
+            raise ParameterDomainError(f"vertex ordinal {v} out of range for |V|={n}")
     first, step, covered = _run(g.adjacency, k, S)
-    return MonitorTrace(k, frozenset(S), tuple(first), step + 1, covered)
+    return MonitorTrace(k, S, tuple(first), step + 1, covered)
 
 
 def is_kpds(g: PyramidGraph, k: int, S: Iterable[int]) -> bool:

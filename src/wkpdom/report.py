@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from typing import Iterator, NamedTuple
 
 from . import reference
@@ -258,12 +257,17 @@ def _property_graphs():
     return (_graph(WKP, 3, 2), _graph(WKP, 2, 3))
 
 
+def _seed_sets(g: PyramidGraph) -> list[set[int]]:
+    """The seed sets of the round and k=0 suites: every {v}, then every {0, v}."""
+    return [{v} for v in range(g.n)] + [{0, v} for v in range(1, g.n)]
+
+
 def _prop_round_monotonicity() -> tuple[bool, str]:
     # The engine's rounds must equal the naive ones, which are then checked
     # for growth; the engine's own rounds grow by construction.
     checked = 0
     for g in _property_graphs():
-        seeds = [{v} for v in range(g.n)] + [{0, v} for v in range(1, g.n)]
+        seeds = _seed_sets(g)
         for k in (0, 1, 2):
             for seed, rounds in zip(seeds, reference.naive_fixpoint_runs(g, k, seeds)):
                 if list(propagate_fixpoint(g, k, seed).rounds) != rounds:
@@ -310,8 +314,7 @@ def _prop_k_monotonicity() -> tuple[bool, str]:
 def _prop_k0_domination() -> tuple[bool, str]:
     checked = 0
     for g in _property_graphs():
-        seeds = [{v} for v in range(g.n)] + [{0, v} for v in range(1, g.n)]
-        for seed in seeds:
+        for seed in _seed_sets(g):
             dominating = len(seed.union(*(g.adjacency[v] for v in seed))) == g.n
             if is_kpds(g, 0, seed) != dominating:
                 return False, f"k=0 disagrees with domination for seed {seed}"
@@ -319,10 +322,15 @@ def _prop_k0_domination() -> tuple[bool, str]:
     return True, f"{checked} seeds agree with domination"
 
 
+def _wkp_order(C: int, L: int) -> int:
+    """The vertex count 1 + C + ... + C^L of WKP(C, L)."""
+    return sum(C ** r for r in range(L + 1))
+
+
 def _structure_cases():
     for C in range(1, 7):
         for L in range(1, 6):
-            if 1 + sum(C ** r for r in range(1, L + 1)) <= 2000:
+            if _wkp_order(C, L) <= 2000:
                 yield WKP, C, L
             if C ** L <= 2000:
                 yield WK, C, L
@@ -331,11 +339,8 @@ def _structure_cases():
 def _check_structure(family: str, C: int, L: int) -> str | None:
     g = _graph(family, C, L)
     extremes = {g.ordinal(a) for a in extreme_vertices(g)}
-    if family == WKP:
-        if g.n != 1 + sum(C ** r for r in range(1, L + 1)):
-            return f"WKP({C},{L}): bad vertex count {g.n}"
-    elif g.n != C ** L:
-        return f"WK({C},{L}): bad vertex count {g.n}"
+    if g.n != (_wkp_order(C, L) if family == WKP else C ** L):
+        return f"{family}({C},{L}): bad vertex count {g.n}"
     for r in range(L + 1):
         for i in g.level_ordinals(r):
             d = g.degree(i)
@@ -386,7 +391,7 @@ def _prop_ham_cycles() -> tuple[bool, str]:
 def _small_wkp_cases():
     for C in range(1, 12):
         for L in range(1, 12):
-            if 1 + sum(C ** r for r in range(1, L + 1)) <= 12:
+            if _wkp_order(C, L) <= 12:
                 yield C, L
 
 
@@ -449,7 +454,3 @@ def run_check_paper(budget: SearchBudget | None = None) -> ReproReport:
             *_rows_tightness(budget)))
     finally:
         _graph.cache_clear()
-
-
-def report_to_json_text(report: ReproReport) -> str:
-    return json.dumps(report.to_json(), indent=2) + "\n"

@@ -189,12 +189,29 @@ class PyramidGraph:
 
     __slots__ = ("family", "C", "L", "adjacency", "offsets")
 
-    def __init__(self, family: str, C: int, L: int, adjacency: Iterable[tuple[int, ...]]):
+    def __init__(self, family: str, C: int, L: int, max_vertices: int = DEFAULT_MAX_VERTICES):
+        """Check the parameters, then build every row of ``family``(C, L) (see ``_rows``).
+
+        A cap below 1, C < 1, L < 1, an unknown family and a graph of more
+        than ``max_vertices`` vertices are refused.  WKP(C, L) has at least
+        L + 1 vertices and, for C >= 2, either family at least 2^L, so an L
+        too long for the cap is refused before any power of C is computed.
+        """
+        if max_vertices < 1:
+            raise ParameterDomainError("max_vertices must be positive")
+        check_dimensions(C, L)
+        if family not in (WK, WKP):
+            raise ParameterDomainError(f"unknown graph family {family!r}")
+        if (family == WKP and L >= max_vertices) or (C > 1 and L > max_vertices.bit_length()) \
+                or (offsets := _level_offsets(family, C, L))[-1] > max_vertices:
+            raise ParameterDomainError(
+                f"{family}({C},{L}) has more vertices than the cap of {max_vertices}"
+            )
         self.family = family
         self.C = C
         self.L = L
-        self.adjacency = tuple(adjacency)
-        self.offsets = _level_offsets(family, C, L)
+        self.offsets = offsets
+        self.adjacency = tuple(_rows(family, C, L, offsets))
 
     @property
     def n(self) -> int:
@@ -256,25 +273,6 @@ def _level_offsets(family: str, C: int, L: int) -> tuple[int, ...]:
     return tuple(itertools.accumulate((C ** r for r in range(L + 1)), initial=0))
 
 
-def _check_parameters(family: str, C: int, L: int, max_vertices: int) -> None:
-    """Refuse a cap below 1, bad dimensions and a graph of more than ``max_vertices`` vertices.
-
-    For C >= 2 a graph has at least 2^L vertices, so an L beyond the cap's
-    bit length is refused before any power of C is computed.
-    """
-    if max_vertices < 1:
-        raise ParameterDomainError("max_vertices must be positive")
-    check_dimensions(C, L)
-    if C == 1:
-        over = (L + 1 if family == WKP else 1) > max_vertices
-    else:
-        over = L > max_vertices.bit_length() or _level_offsets(family, C, L)[-1] > max_vertices
-    if over:
-        raise ParameterDomainError(
-            f"{family}({C},{L}) has more vertices than the cap of {max_vertices}"
-        )
-
-
 def rule2_partner(digits: tuple[int, ...]) -> tuple[int, ...] | None:
     """Bridge partner of a digit string, or None for repeated-digit strings.
 
@@ -297,7 +295,7 @@ def rule2_partner(digits: tuple[int, ...]) -> tuple[int, ...] | None:
 _CHUNK = 256
 
 
-def _rows(g: PyramidGraph) -> list[tuple[int, ...]]:
+def _rows(family: str, C: int, L: int, offsets: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The sorted adjacency rows of WK(C, L) or WKP(C, L), a column at a time.
 
     Every entry is an item of ``ords``, the graph's one int object per
@@ -316,10 +314,9 @@ def _rows(g: PyramidGraph) -> list[tuple[int, ...]]:
     children.  The C repeated-digit strings of each level have no partner
     and are built one at a time, as is the apex.
     """
-    C, L, offsets = g.C, g.L, g.offsets
     ords = tuple(range(offsets[-1]))
     rows = [None] * len(ords)
-    wkp = g.family == WKP
+    wkp = family == WKP
     spans = ((1, L - 1), (L, L)) if wkp else ((L, L),)  # levels whose rows share a shape
     pairs = list(itertools.permutations(range(C), 2))  # (c, j); none for C = 1
     pw = [C ** t for t in range(L + 2)] if pairs else ()
@@ -365,20 +362,12 @@ def build_wk(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Pyr
     Its vertices are the length-L strings, the level-L vertices of WKP(C, L);
     the canonical order is lexicographic on digits.
     """
-    return _build(WK, C, L, max_vertices)
+    return PyramidGraph(WK, C, L, max_vertices)
 
 
 def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> PyramidGraph:
     """Build the WK-pyramid WKP(C, L) on 1 + C + C^2 + ... + C^L vertices."""
-    return _build(WKP, C, L, max_vertices)
-
-
-def _build(family: str, C: int, L: int, max_vertices: int) -> PyramidGraph:
-    """The checked graph, its rows built from the level offsets it computed."""
-    _check_parameters(family, C, L, max_vertices)
-    g = PyramidGraph(family, C, L, ())
-    g.adjacency = tuple(_rows(g))
-    return g
+    return PyramidGraph(WKP, C, L, max_vertices)
 
 
 def extreme_vertices(g: PyramidGraph) -> set[Address]:
@@ -460,11 +449,8 @@ def graph_from_json(data: bytes | str) -> PyramidGraph:
         doc = json.loads(data)
         family, C, L, listed, edges = (doc["family"], doc["C"], doc["L"],
                                        doc["vertices"], doc["edges"])
-        builder = {WK: build_wk, WKP: build_wkp}.get(family)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from None
-    if builder is None:
-        raise ParameterDomainError(f"unknown graph family {family!r}")
     if type(C) is not int or type(L) is not int:
         raise ParameterDomainError(f"graph JSON: C and L must be integers, got {C!r} and {L!r}")
     # A canonical list ends at level L, which bounds L by the input's size
@@ -472,7 +458,7 @@ def graph_from_json(data: bytes | str) -> PyramidGraph:
     last = listed[-1] if isinstance(listed, list) and listed else None
     if not isinstance(last, str) or len(parse_address(last, C)) != L:
         raise ParameterDomainError(f"graph JSON does not list level L={L} last")
-    g = builder(C, L, max_vertices=len(listed))
+    g = PyramidGraph(family, C, L, len(listed))
     # With default separators, json.dumps spells a list of strings as the
     # bracketed line, so any other entry or order makes the texts differ.
     if json.dumps(listed) != f"[{quoted_line(g)[0]}]" or list(map(list, g.edge_list())) != edges:

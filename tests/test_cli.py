@@ -239,6 +239,44 @@ class TestBrokenPipe:
         assert err == b""
 
 
+FULL = "/dev/full"
+
+
+@pytest.mark.skipif(not os.path.exists(FULL), reason="needs a device that refuses every write")
+class TestWriteFailure:
+    # A full device fails the write with ENOSPC: the call ends with one
+    # error line and the parse-error code, never a traceback.  Development
+    # mode would add the ResourceWarning of a file left open at exit.
+    def _run(self, argv, stdout):
+        src = Path(cli.__file__).resolve().parent.parent
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "wkpdom.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--C", "4", "--L", "5", "--k", "3"],
+        ["verify", "--C", "3", "--L", "2", "--k", "1", "--set", "(1,(1))"],
+        ["check-paper"],
+        ["check-paper", "--format", "json"],
+    ], ids=["construct", "verify", "check-paper-text", "check-paper-json"])
+    def test_full_stdout_exits_with_one_error_line(self, argv):
+        with open(FULL, "w") as full:
+            proc = self._run(argv, full)
+        assert proc.returncode == cli.EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+    def test_full_output_file_exits_with_one_error_line(self):
+        proc = self._run(["gen", "--C", "3", "--L", "2", "-o", FULL], subprocess.PIPE)
+        assert proc.returncode == cli.EXIT_PARSE
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {FULL}: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 class TestStartup:
     def test_import_loads_no_introspection_or_fort_modules(self):
         # Every verb is a fresh interpreter that pays for `import wkpdom.cli`;

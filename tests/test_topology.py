@@ -21,7 +21,16 @@ from wkpdom import (
     parse_address,
 )
 from wkpdom.cli import main
-from wkpdom.topology import block_bridge, export_pieces, quoted_line, rule2_partner
+from wkpdom import topology
+from wkpdom.topology import (
+    WK,
+    WKP,
+    PyramidGraph,
+    block_bridge,
+    export_pieces,
+    quoted_line,
+    rule2_partner,
+)
 
 
 def wkp_count(C, L):
@@ -191,6 +200,31 @@ class TestBuilders:
         for builder in (build_wk, build_wkp):
             with pytest.raises(ParameterDomainError, match="^max_vertices must be positive$"):
                 builder(1, 1, max_vertices=cap)
+
+    def test_constructor_builds_the_whole_graph(self):
+        assert PyramidGraph(WKP, 3, 2) == build_wkp(3, 2)
+        assert PyramidGraph(WK, 3, 2) == build_wk(3, 2)
+
+    def test_constructor_checks_the_cap(self):
+        with pytest.raises(ParameterDomainError, match=r"^WK\(2,20\) .* cap of 1000$"):
+            PyramidGraph(WK, 2, 20, max_vertices=1000)
+
+    @pytest.mark.parametrize("family", ["wk", "HYPERCUBE", None])
+    def test_constructor_refuses_an_unknown_family(self, family):
+        with pytest.raises(ParameterDomainError, match="^unknown graph family"):
+            PyramidGraph(family, 2, 2)
+
+    def test_level_offsets_are_computed_once_per_build(self, monkeypatch):
+        calls = []
+        real = topology._level_offsets
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(topology, "_level_offsets", counting)
+        assert build_wkp(4, 3).n == 85
+        assert calls == [(WKP, 4, 3)]
 
 
 @pytest.mark.parametrize("family,C,L", SWEEP + LARGE_C + LONG_CLASSES)
