@@ -19,7 +19,6 @@ from .exact import (
     BudgetExceededError,
     ExactResult,
     SearchBudget,
-    exact_result_to_json,
     first_min_kpds,
     level1_intersection_check,
     min_kpds,
@@ -76,7 +75,6 @@ __all__ = [
     "build_wk",
     "build_wkp",
     "construct_kpds",
-    "exact_result_to_json",
     "export",
     "extreme_vertices",
     "first_min_kpds",

@@ -12,9 +12,17 @@ violation, 141 when the reader of standard output closes it before
 everything is written (as ``| head`` does; the shell's status for a
 process stopped by SIGPIPE).  Nothing is printed then.
 
-``construct`` and ``trace`` write their JSON as it is encoded, a round at
-a time (``propagation.json_text``), so no whole document is held in
-memory and an early-closing reader cuts the output mid-document.
+Each verb shapes the document it prints here, and a trace has one JSON
+encoder, ``trace_fields`` written out by ``json_text``.  It slices the
+line of every quoted literal that ``topology.quoted_line`` builds, with
+the offset where each starts, and makes no string per vertex.  The seed
+is sliced from the line a literal at a time, and each round one slice
+per run of consecutive monitored ordinals, made only when the text
+before it has been taken: a round costs its number of runs plus one copy
+of its text.  ``construct`` and ``trace`` write their JSON as it is
+encoded, a round at a time, so no round is held as a list, no whole
+document is held in memory, and an early-closing reader cuts the output
+mid-document.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from collections.abc import Iterator
 from typing import Sequence
 
 from .constructions import ConstructionError, RegimeError, construct_kpds, gamma_formula
@@ -30,11 +40,10 @@ from .exact import (
     DEFAULT_MAX_CHECKS,
     BudgetExceededError,
     SearchBudget,
-    exact_result_to_json,
     min_kpds,
     propagation_radius,
 )
-from .propagation import MonitorTrace, json_text, propagate_fixpoint, radius_to_json, trace_fields
+from .propagation import NEVER, MonitorTrace, propagate_fixpoint
 from .report import run_check_paper
 from .topology import (
     DEFAULT_MAX_VERTICES,
@@ -47,6 +56,7 @@ from .topology import (
     check_printable,
     export_pieces,
     parse_address,
+    quoted_line,
 )
 
 EXIT_OK = 0
@@ -97,6 +107,75 @@ def _max_vertices(args: argparse.Namespace) -> int:
 
 def _pyramid(args: argparse.Namespace) -> PyramidGraph:
     return build_wkp(args.C, args.L, max_vertices=_max_vertices(args))
+
+
+def _round_texts(line: str, at: list[int], trace: MonitorTrace) -> Iterator[str]:
+    """JSON text of the list of rounds, made one round at a time as it is read.
+
+    Each round is the list of the addresses it monitors, in ordinal order.
+    ``line`` and ``at`` come from ``quoted_line``; a round is a few long
+    runs of consecutive ordinals, and each run is one slice of the line.
+    A byte per vertex marks the monitored ones (each vertex is marked once,
+    in the round it is first monitored), and the runs are found with
+    ``bytearray.find``; the last byte is never set, so it closes every run.
+    A round therefore costs its number of runs in Python plus one copy of
+    its text.
+    """
+    fresh = [[] for _ in range(trace.round_count)]
+    for v, s in enumerate(trace.first_step):
+        if s != NEVER:
+            fresh[s].append(v)
+    monitored = bytearray(len(at))
+    yield "["
+    for i, new in enumerate(fresh):
+        for v in new:
+            monitored[v] = 1
+        runs, b = [], 0
+        while (a := monitored.find(1, b)) >= 0:
+            b = monitored.find(0, a)
+            runs.append(line[at[a]:at[b] - 2])
+        yield ", [" if i else "["
+        yield ", ".join(runs)
+        yield "]"
+    yield "]"
+
+
+def trace_fields(g: PyramidGraph, trace: MonitorTrace) -> dict:
+    """Trace as {k, seed, rounds, radius} for ``json_text``; radius is null for a stuck run.
+
+    ``rounds`` is a one-shot iterator of JSON text, a few pieces per round
+    (see ``_round_texts``), so the rounds are never held as lists.  The
+    seed and every round are sliced from one quoted line of all the
+    literals (``quoted_line``): literals hold only digits, commas and
+    parentheses, so quoting is their JSON encoding.
+    """
+    line, at = quoted_line(g)
+    return {
+        "k": trace.k,
+        "seed": [line[at[v] + 1:at[v + 1] - 3] for v in sorted(trace.seed)],
+        "rounds": _round_texts(line, at, trace),
+        "radius": trace.round_count if trace.covered else None,
+    }
+
+
+def json_text(value) -> Iterator[str]:
+    """The text of ``json.dumps(value)`` in pieces.
+
+    A dict (with str keys) is written key by key, and an iterator is taken
+    to yield pieces of JSON text, which pass through as they come; so a
+    document holding ``trace_fields`` is written a round at a time and
+    never joined into one string.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from json_text(item)
+        yield "}"
+    elif isinstance(value, Iterator):
+        yield from value
+    else:
+        yield json.dumps(value)
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
@@ -154,24 +233,24 @@ def _construct_payload(args: argparse.Namespace) -> dict:
         raise ConstructionError(
             f"construction for (C={args.C}, L={args.L}, k={args.k}) failed verification")
     fields = trace_fields(g, trace)
+    gamma = gamma_formula(args.C, args.L, args.k)
     return {"C": args.C, "L": args.L, "k": args.k,
-            "gamma_formula": gamma_formula(args.C, args.L, args.k).to_json(),
+            "gamma_formula": {"exact" if gamma.exact else "upper_bound": gamma.value},
             "set": fields["seed"], "size": len(trace.seed), "is_kpds": True,
             "radius": trace.radius, "provenance": provenance, "trace": fields}
 
 
 def _seed_run(args: argparse.Namespace) -> tuple[PyramidGraph, MonitorTrace]:
     """The graph and the run from the seed set ``--set``, for ``verify`` and ``trace``."""
-    check_printable(args.C)  # before the build whose addresses could not be parsed
+    addresses = parse_seed_set(args.set, args.C)  # before the build, which a bad set would waste
     g = _pyramid(args)
-    seed = [g.ordinal(a) for a in parse_seed_set(args.set, args.C)]
-    return g, propagate_fixpoint(g, args.k, seed)
+    return g, propagate_fixpoint(g, args.k, [g.ordinal(a) for a in addresses])
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g, trace = _seed_run(args)
     _emit({"C": args.C, "L": args.L, "k": args.k, "set": address_list(g, trace.seed),
-           "is_kpds": trace.covered, "radius": radius_to_json(trace)}, args)
+           "is_kpds": trace.covered, "radius": trace.round_count if trace.covered else None}, args)
     return EXIT_OK
 
 
@@ -180,7 +259,10 @@ def cmd_exact(args: argparse.Namespace) -> int:
     g = _pyramid(args)
     result = min_kpds(g, args.k, _budget(args),
                       progress=_print_progress if args.progress else None)
-    _emit(exact_result_to_json(g, args.k, result), args)
+    # A search that returns has found gamma's first set, so it has a witness.
+    _emit({"C": args.C, "L": args.L, "k": args.k, "gamma": result.gamma,
+           "witness": address_list(g, result.witnesses[0]), "radius": result.radius,
+           "exhausted": result.exhausted, "checks_performed": result.checks_performed}, args)
     return EXIT_OK
 
 
@@ -199,10 +281,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_check_paper(args: argparse.Namespace) -> int:
     report = run_check_paper(_budget(args))
+    rows = report.rows
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.to_json(), indent=2) + "\n")
+        doc = {"rows": [r._asdict() for r in rows], "failures": len(report.failures)}
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
-        print(report.format_text())
+        width = max(len(r.claim) for r in rows)
+        for r in rows:
+            print(f"[{r.status:>14}]  {r.claim:<{width}}  expected {r.expected}  |  got {r.computed}")
+        counts = sorted(Counter(r.status for r in rows).items())
+        print(f"{len(rows)} rows: " + ", ".join(f"{n} {status}" for status, n in counts))
     return EXIT_REPORT_FAIL if report.failures else EXIT_OK
 
 

@@ -52,9 +52,6 @@ class GammaValue(NamedTuple):
     value: int
     exact: bool
 
-    def to_json(self) -> dict:
-        return {"exact": self.value} if self.exact else {"upper_bound": self.value}
-
 
 def regime_of(C: int, L: int, k: int) -> RegimeTag:
     """Classify (C, L, k) into the regime that decides formula and construction.

@@ -27,6 +27,9 @@ check the kernel's step against ``propagation.radius_of_set`` and
 steps against both on every subset of up to two vertices, every stored
 count against the naive rounds, and the order of checks, budget stops
 and progress calls against ``itertools.combinations``.
+
+The searches return records (``ExactResult``, or a tuple of ordinals);
+``cli`` turns them into the documents it prints.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .constructions import RegimeError
-from .topology import WKP, ParameterDomainError, PyramidGraph, address_list, check_k
+from .topology import WKP, ParameterDomainError, PyramidGraph, check_k
 
 #: How often the progress callback fires, in propagation checks.
 PROGRESS_INTERVAL = 5_000
@@ -318,16 +321,3 @@ def level1_intersection_check(g: PyramidGraph, k: int,
     level1 = set(g.level_ordinals(1))
     return all(level1.intersection(witness) for witness in result.witnesses)
 
-
-def exact_result_to_json(g: PyramidGraph, k: int, result: ExactResult) -> dict:
-    witness: Iterable[int] = result.witnesses[0] if result.witnesses else ()
-    return {
-        "C": g.C,
-        "L": g.L,
-        "k": k,
-        "gamma": result.gamma,
-        "witness": address_list(g, witness),
-        "radius": result.radius,
-        "exhausted": result.exhausted,
-        "checks_performed": result.checks_performed,
-    }

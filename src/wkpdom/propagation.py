@@ -37,17 +37,8 @@ round monitors nothing new, so it knows its verdict when it stops.
 ``MonitorTrace`` is the one result of a run: the round of every vertex
 and that verdict, stored as ``covered``, from which ``radius`` follows;
 ``is_kpds`` and ``radius_of_set`` return its ``covered`` and ``radius``
-without a scan.
-
-A trace has one JSON encoder, ``trace_fields`` written out by
-``json_text``.  It slices the line of every quoted literal that
-``topology.quoted_line`` builds, with the offset where each starts, and
-makes no string per vertex.  The seed is sliced from the line a literal
-at a time, and each round one slice per run of consecutive monitored
-ordinals, made only when the text before it has been taken: a round
-costs its number of runs plus one copy of its text, and ``construct``
-and ``trace`` write a trace of any length a round at a time, never
-holding its rounds as lists or its document as one string.
+without a scan.  This module only computes the rounds; ``cli`` writes
+them out.
 
 An intentionally naive mirror of these semantics lives in ``reference``
 and is compared against this engine by the test suite, as is the
@@ -56,12 +47,11 @@ bit-parallel kernel of the exhaustive search in ``exact``.
 
 from __future__ import annotations
 
-import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import Iterable, NamedTuple
 
-from .topology import ParameterDomainError, PyramidGraph, check_k, quoted_line
+from .topology import ParameterDomainError, PyramidGraph, check_k
 
 #: Radius / first-step sentinel for "never monitored".
 NEVER = math.inf
@@ -208,76 +198,3 @@ def radius_of_set(g: PyramidGraph, k: int, S: Iterable[int]) -> int | float:
     """The run's round count when S is a k-PDS, else NEVER (``MonitorTrace.radius``)."""
     return propagate_fixpoint(g, k, S).radius
 
-
-def _round_texts(line: str, at: list[int], trace: MonitorTrace) -> Iterator[str]:
-    """JSON text of the list of rounds, made one round at a time as it is read.
-
-    Each round is the list of the addresses it monitors, in ordinal order.
-    ``line`` and ``at`` come from ``quoted_line``; a round is a few long
-    runs of consecutive ordinals, and each run is one slice of the line.
-    A byte per vertex marks the monitored ones (each vertex is marked once,
-    in the round it is first monitored), and the runs are found with
-    ``bytearray.find``; the last byte is never set, so it closes every run.
-    A round therefore costs its number of runs in Python plus one copy of
-    its text.
-    """
-    fresh = [[] for _ in range(trace.round_count)]
-    for v, s in enumerate(trace.first_step):
-        if s != NEVER:
-            fresh[s].append(v)
-    monitored = bytearray(len(at))
-    yield "["
-    for i, new in enumerate(fresh):
-        for v in new:
-            monitored[v] = 1
-        runs, b = [], 0
-        while (a := monitored.find(1, b)) >= 0:
-            b = monitored.find(0, a)
-            runs.append(line[at[a]:at[b] - 2])
-        yield ", [" if i else "["
-        yield ", ".join(runs)
-        yield "]"
-    yield "]"
-
-
-def radius_to_json(trace: MonitorTrace) -> int | None:
-    """``MonitorTrace.radius`` as JSON: the round count, or null for a stuck run."""
-    return trace.round_count if trace.covered else None
-
-
-def trace_fields(g: PyramidGraph, trace: MonitorTrace) -> dict:
-    """Trace as {k, seed, rounds, radius} for ``json_text``; radius is null for a stuck run.
-
-    ``rounds`` is a one-shot iterator of JSON text, a few pieces per round
-    (see ``_round_texts``), so the rounds are never held as lists.  The
-    seed and every round are sliced from one quoted line of all the
-    literals (``quoted_line``): literals hold only digits, commas and
-    parentheses, so quoting is their JSON encoding.
-    """
-    line, at = quoted_line(g)
-    return {
-        "k": trace.k,
-        "seed": [line[at[v] + 1:at[v + 1] - 3] for v in sorted(trace.seed)],
-        "rounds": _round_texts(line, at, trace),
-        "radius": radius_to_json(trace),
-    }
-
-
-def json_text(value) -> Iterator[str]:
-    """The text of ``json.dumps(value)`` in pieces.
-
-    A dict (with str keys) is written key by key, and an iterator is taken
-    to yield pieces of JSON text, which pass through as they come; so a
-    document holding ``trace_fields`` is written a round at a time and
-    never joined into one string.
-    """
-    if isinstance(value, dict):
-        yield "{"
-        for i, (key, item) in enumerate(value.items()):
-            yield (", " if i else "") + json.dumps(key) + ": "
-            yield from json_text(item)
-        yield "}"
-    elif isinstance(value, Iterator):
-        yield from value
-    else:
-        yield json.dumps(value)

@@ -75,34 +75,6 @@ class ReproReport(NamedTuple):
     def rows_for(self, criterion: int) -> tuple[ReportRow, ...]:
         return tuple(r for r in self.rows if r.criterion == criterion)
 
-    def to_json(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "criterion": r.criterion,
-                    "claim": r.claim,
-                    "expected": r.expected,
-                    "computed": r.computed,
-                    "status": r.status,
-                }
-                for r in self.rows
-            ],
-            "failures": len(self.failures),
-        }
-
-    def format_text(self) -> str:
-        width = max(len(r.claim) for r in self.rows)
-        lines = [
-            f"[{r.status:>14}]  {r.claim:<{width}}  expected {r.expected}  |  got {r.computed}"
-            for r in self.rows
-        ]
-        counts: dict[str, int] = {}
-        for r in self.rows:
-            counts[r.status] = counts.get(r.status, 0) + 1
-        summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        lines.append(f"{len(self.rows)} rows: {summary}")
-        return "\n".join(lines)
-
 
 @functools.cache
 def _graph(family: str, C: int, L: int) -> PyramidGraph:

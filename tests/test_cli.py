@@ -419,6 +419,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: empty seed set literal\n"
 
+    @pytest.mark.parametrize("verb", ["verify", "trace"])
+    def test_set_is_parsed_before_the_build(self, capsys, verb):
+        # WKP(3,40) is over the vertex cap, so a build would fail first.
+        code = main([verb, "--C", "3", "--L", "40", "--k", "1", "--set", "junk"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: malformed address literal: 'junk'\n"
+
     def test_set_is_listed_in_ordinal_order(self, capsys):
         # As in construct, exact and trace; sorted as text, (10,...) came first.
         code, out = run(capsys, "verify", "--C", "2", "--L", "10", "--k", "1",

@@ -12,6 +12,7 @@ from wkpdom import (
     RegimeTag,
     build_wk,
     build_wkp,
+    cli,
     construct_kpds,
     constructions,
     gamma_formula,
@@ -84,9 +85,10 @@ class TestGammaFormula:
     def test_values(self, C, L, k, value, exact):
         assert gamma_formula(C, L, k) == (value, exact)
 
-    def test_json_shape(self):
-        assert gamma_formula(5, 2, 1).to_json() == {"exact": 4}
-        assert gamma_formula(2, 5, 1).to_json() == {"upper_bound": 2}
+    def test_json_shape(self, capsys):
+        for C, L, shape in [(5, 2, {"exact": 4}), (2, 5, {"upper_bound": 2})]:
+            assert cli.main(["construct", "--C", str(C), "--L", str(L), "--k", "1"]) == 0
+            assert json.loads(capsys.readouterr().out)["gamma_formula"] == shape
 
 
 class TestTrivialConstruction:

@@ -1,6 +1,7 @@
 import ast
 import functools
 import itertools
+import json
 import math
 import operator
 import tracemalloc
@@ -14,8 +15,8 @@ from wkpdom import (
     RegimeError,
     SearchBudget,
     build_wkp,
+    cli,
     exact,
-    exact_result_to_json,
     first_min_kpds,
     format_address,
     gamma_formula,
@@ -25,7 +26,7 @@ from wkpdom import (
     propagation_radius,
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
-from wkpdom import reference
+from wkpdom import propagation, reference
 from wkpdom.reference import naive_min_kpds
 
 
@@ -89,8 +90,9 @@ class TestMinKpds:
         assert SearchBudget().max_subset_count == exact.DEFAULT_MAX_CHECKS
         assert SearchBudget(1).max_subset_count == 1
 
-    def test_json_shape(self, wkp32):
-        doc = exact_result_to_json(wkp32, 1, min_kpds(wkp32, 1))
+    def test_json_shape(self, capsys):
+        assert cli.main(["exact", "--C", "3", "--L", "2", "--k", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["gamma"] == 2
         assert doc["witness"] == ["(1,(0))", "(1,(1))"]
         assert doc["exhausted"] is True
@@ -194,6 +196,20 @@ def test_reference_imports_no_wkpdom_module_but_topology():
             imported |= {alias.name.partition(".")[2] or "wkpdom" for alias in node.names
                          if alias.name.split(".")[0] == "wkpdom"}
     assert imported == {"topology"}
+
+
+@pytest.mark.parametrize("module", [exact, propagation])
+def test_solver_and_engine_import_no_output_code(module):
+    # The printed forms are the command line's: the solver and the engine
+    # compute answers and never encode them.
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported.isdisjoint({"json", "quoted_line", "address_list"})
 
 
 def test_first_min_kpds_stops_at_the_first_minimum_set():

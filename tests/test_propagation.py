@@ -28,7 +28,7 @@ from wkpdom import (
     radius_of_set,
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
-from wkpdom.propagation import json_text, trace_fields
+from wkpdom.cli import json_text, trace_fields
 from wkpdom.reference import (
     naive_fixpoint_rounds,
     naive_fixpoint_runs,
