@@ -20,7 +20,6 @@ from .exact import (
     ExactResult,
     SearchBudget,
     first_min_kpds,
-    level1_intersection_check,
     min_kpds,
     propagation_radius,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "graph_from_json",
     "ham_cycle_wk",
     "is_kpds",
-    "level1_intersection_check",
     "min_kpds",
     "parse_address",
     "propagate_fixpoint",

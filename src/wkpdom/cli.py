@@ -76,17 +76,22 @@ EXIT_CODES = {
 }
 
 
-def _setting(given: int | None, name: str, fallback: int) -> int:
-    """A flag's ``given`` value, else env variable ``name`` as an integer, else ``fallback``."""
-    if given is not None:
-        return given
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterDomainError(f"{name} must be an integer, got {raw!r}") from None
+def _setting(given: int | None, flag: str, name: str, fallback: int) -> int:
+    """``given`` (flag ``flag``), else env variable ``name`` as an integer, else ``fallback``.
+
+    A value below 1 is refused, and the message names the flag and the variable.
+    """
+    if given is None:
+        raw = os.environ.get(name)
+        if raw is None:
+            return fallback
+        try:
+            given = int(raw)
+        except ValueError:
+            raise ParameterDomainError(f"{name} must be an integer, got {raw!r}") from None
+    if given < 1:
+        raise ParameterDomainError(f"{flag} or {name} must be at least 1, got {given}")
+    return given
 
 
 def parse_seed_set(text: str, C: int) -> list[Address]:
@@ -98,11 +103,12 @@ def parse_seed_set(text: str, C: int) -> list[Address]:
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    return SearchBudget(_setting(args.budget, "WKPDOM_MAX_CHECKS", DEFAULT_MAX_CHECKS))
+    return SearchBudget(_setting(args.budget, "--budget", "WKPDOM_MAX_CHECKS", DEFAULT_MAX_CHECKS))
 
 
 def _max_vertices(args: argparse.Namespace) -> int:
-    return _setting(args.max_vertices, "WKPDOM_MAX_VERTICES", DEFAULT_MAX_VERTICES)
+    return _setting(args.max_vertices, "--max-vertices", "WKPDOM_MAX_VERTICES",
+                    DEFAULT_MAX_VERTICES)
 
 
 def _pyramid(args: argparse.Namespace) -> PyramidGraph:

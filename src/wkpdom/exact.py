@@ -29,18 +29,18 @@ count against the naive rounds, and the order of checks, budget stops
 and progress calls against ``itertools.combinations``.
 
 The searches return records (``ExactResult``, or a tuple of ordinals);
-``cli`` turns them into the documents it prints.
+``cli`` turns them into the documents it prints.  The solver holds for
+any graph and k and knows no claim of the paper, so it imports only
+``topology``: ``report`` asks its questions of ``min_kpds``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import Callable, Iterator, NamedTuple
 
-from .constructions import RegimeError
-from .topology import WKP, ParameterDomainError, PyramidGraph, check_k
+from .topology import ParameterDomainError, PyramidGraph, check_k
 
 #: How often the progress callback fires, in propagation checks.
 PROGRESS_INTERVAL = 5_000
@@ -86,7 +86,7 @@ class ExactResult(NamedTuple):
     ``min_kpds`` in lexicographic order; ``radius`` is minimized over every
     optimal set found, and ``exhausted`` records whether the whole
     cardinality level of ``gamma`` was enumerated (required for the radius
-    to be the graph's).
+    to be the graph's; ``whole_level`` insists on it).
     """
 
     gamma: int
@@ -94,6 +94,16 @@ class ExactResult(NamedTuple):
     radius: int
     exhausted: bool
     checks_performed: int
+
+    def whole_level(self) -> ExactResult:
+        """This result if its search checked every set of size gamma, else the budget error."""
+        if not self.exhausted:
+            raise BudgetExceededError(
+                f"needs every size-{self.gamma} set enumerated; budget ran out",
+                gamma_exceeds=self.gamma - 1,
+                checks_performed=self.checks_performed,
+            )
+        return self
 
 
 def _closed_masks(g: PyramidGraph) -> tuple[tuple[int, ...], int]:
@@ -250,8 +260,11 @@ def min_kpds(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
     budget runs out before gamma is certified; if it runs out while sweeping
     the rest of gamma's own cardinality level, the result is returned with
     ``exhausted=False`` instead.  Without a budget stop the search always
-    ends with a gamma <= n: V itself is a k-PDS, since N[V] = V.
+    ends with a gamma <= n: V itself is a k-PDS, since N[V] = V.  A
+    ``witness_cap`` below 1 is refused, so a result always has a witness.
     """
+    if witness_cap < 1:
+        raise ParameterDomainError(f"witness_cap must be at least 1, got {witness_cap}")
     gamma = 0
     witnesses: list[frozenset[int]] = []
     radius: int | float = math.inf
@@ -283,17 +296,6 @@ def first_min_kpds(g: PyramidGraph, k: int,
     return next(_covering_sets(g, k, range(1, g.n + 1), budget, None))[0]
 
 
-def _whole_level(result: ExactResult, prefix: str) -> ExactResult:
-    """``result`` if its search checked every set of size gamma, else the budget error."""
-    if not result.exhausted:
-        raise BudgetExceededError(
-            f"{prefix}needs every size-{result.gamma} set enumerated; budget ran out",
-            gamma_exceeds=result.gamma - 1,
-            checks_performed=result.checks_performed,
-        )
-    return result
-
-
 def propagation_radius(g: PyramidGraph, k: int, budget: SearchBudget | None = None, *,
                        progress: ProgressFn | None = None) -> int:
     """Minimum radius over all minimum k-power-dominating sets.
@@ -301,23 +303,5 @@ def propagation_radius(g: PyramidGraph, k: int, budget: SearchBudget | None = No
     Requires the exhaustive sweep of the optimal cardinality level to
     complete within budget.
     """
-    return _whole_level(min_kpds(g, k, budget, progress=progress), "radius ").radius
-
-
-def level1_intersection_check(g: PyramidGraph, k: int,
-                              budget: SearchBudget | None = None) -> bool:
-    """True iff every minimum k-PDS of WKP(C, 2) contains a level-1 vertex.
-
-    Applies to C >= 3 and k in [C-1]; enumerates the full optimal
-    cardinality level once, keeping every optimal set.
-    """
-    if g.family != WKP or g.L != 2:
-        raise RegimeError("the level-1 intersection property is about WKP(C, 2)")
-    if g.C < 3:
-        raise RegimeError(f"the level-1 intersection property needs C >= 3, got C={g.C}")
-    if not 1 <= k <= g.C - 1:
-        raise RegimeError(f"the level-1 intersection property needs k in [C-1], got k={k}")
-    result = _whole_level(min_kpds(g, k, budget, witness_cap=sys.maxsize), "")
-    level1 = set(g.level_ordinals(1))
-    return all(level1.intersection(witness) for witness in result.witnesses)
+    return min_kpds(g, k, budget, progress=progress).whole_level().radius
 

@@ -24,17 +24,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from typing import Iterator, NamedTuple
 
 from . import reference
 from .constructions import construct_kpds, ham_cycle_wk
-from .exact import (
-    SearchBudget,
-    first_min_kpds,
-    level1_intersection_check,
-    min_kpds,
-    propagation_radius,
-)
+from .exact import SearchBudget, first_min_kpds, min_kpds, propagation_radius
 from .propagation import is_kpds, propagate_fixpoint, radius_of_set
 from .topology import (
     APEX,
@@ -217,8 +212,12 @@ LEVEL1_CASES = ((3, 1), (3, 2), (4, 3))
 
 
 def _rows_level1(budget: SearchBudget) -> Iterator[ReportRow]:
+    # One search per case keeps every optimal set, which needs gamma's whole level.
     for C, k in LEVEL1_CASES:
-        got = level1_intersection_check(_graph(WKP, C, 2), k, budget)
+        g = _graph(WKP, C, 2)
+        level1 = g.level_ordinals(1)
+        optimal = min_kpds(g, k, budget, witness_cap=sys.maxsize).whole_level().witnesses
+        got = all(any(v in level1 for v in witness) for witness in optimal)
         yield _row(8, f"minimum sets meet level 1, WKP({C},2) k={k}",
                    "True", str(got), got)
 

@@ -630,7 +630,9 @@ class TestEnvOverrides:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: max_vertices must be positive\n"
+        value = argv[-1] if env is None else env
+        assert captured.err == ("error: --max-vertices or WKPDOM_MAX_VERTICES must be at least 1, "
+                                f"got {value}\n")
 
     @pytest.mark.parametrize("argv,env", [
         (["exact", "--C", "2", "--L", "2", "--k", "1", "--budget", "0"], None),
@@ -646,7 +648,26 @@ class TestEnvOverrides:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: max_subset_count must be positive\n"
+        value = argv[-1] if env is None else env
+        assert captured.err == f"error: --budget or WKPDOM_MAX_CHECKS must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("flag,name,argv", [
+        ("--budget", "WKPDOM_MAX_CHECKS", ["exact", "--C", "2", "--L", "2", "--k", "1"]),
+        ("--max-vertices", "WKPDOM_MAX_VERTICES", ["gen", "--C", "2", "--L", "2"]),
+    ], ids=["budget", "vertex-cap"])
+    @pytest.mark.parametrize("by", ["flag", "env"])
+    def test_setting_below_one_names_the_users_input(self, capsys, monkeypatch,
+                                                     flag, name, argv, by):
+        # The message names the flag and the variable, not the library's attribute.
+        monkeypatch.delenv(name, raising=False)
+        if by == "flag":
+            argv = [*argv, flag, "0"]
+        else:
+            monkeypatch.setenv(name, "0")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {flag} or {name} must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("argv", [["check-paper"],
                                       ["exact", "--C", "2", "--L", "2", "--k", "1"]])

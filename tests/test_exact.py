@@ -12,7 +12,6 @@ import pytest
 from wkpdom import (
     BudgetExceededError,
     ParameterDomainError,
-    RegimeError,
     SearchBudget,
     build_wkp,
     cli,
@@ -21,12 +20,11 @@ from wkpdom import (
     format_address,
     gamma_formula,
     is_kpds,
-    level1_intersection_check,
     min_kpds,
     propagation_radius,
 )
 from wkpdom.exact import _bit_step, _closed_masks, _covering_sets
-from wkpdom import propagation, reference
+from wkpdom import constructions, forts, propagation, reference, report
 from wkpdom.reference import naive_min_kpds
 
 
@@ -90,6 +88,13 @@ class TestMinKpds:
         assert SearchBudget().max_subset_count == exact.DEFAULT_MAX_CHECKS
         assert SearchBudget(1).max_subset_count == 1
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_witness_cap_below_one_is_refused(self, wkp32, cap):
+        # A result promises a witness, which cli's exact reads as witnesses[0].
+        with pytest.raises(ParameterDomainError, match=f"^witness_cap must be at least 1, got {cap}$"):
+            min_kpds(wkp32, 1, witness_cap=cap)
+        assert len(min_kpds(wkp32, 1, witness_cap=1).witnesses) == 1
+
     def test_json_shape(self, capsys):
         assert cli.main(["exact", "--C", "3", "--L", "2", "--k", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -116,35 +121,52 @@ class TestRadius:
         assert result.gamma == 2
         assert not result.exhausted
         with pytest.raises(BudgetExceededError,
-                           match=r"^radius needs every size-2 set enumerated; budget ran out$"):
+                           match=r"^needs every size-2 set enumerated; budget ran out$"):
             propagation_radius(wkp32, 1, SearchBudget(max_subset_count=30))
 
 
 class TestLevel1Intersection:
-    @pytest.mark.parametrize("C,k", [(3, 1), (4, 2)])
-    def test_holds(self, C, k):
-        assert level1_intersection_check(build_wkp(C, 2), k)
+    """Criterion 8's rows: every minimum k-PDS of WKP(C, 2) meets level 1."""
+
+    @staticmethod
+    def rows(monkeypatch, cases, budget=None):
+        monkeypatch.setattr(report, "LEVEL1_CASES", cases)
+        return list(report._rows_level1(budget or SearchBudget()))
 
     @pytest.mark.parametrize("C,k", [(3, 1), (4, 2)])
-    def test_single_pass_fits_the_search_budget(self, C, k):
-        # the check sweeps the optimal level once, inside min_kpds's own checks
-        g = build_wkp(C, 2)
-        budget = SearchBudget(max_subset_count=min_kpds(g, k).checks_performed)
-        assert level1_intersection_check(g, k, budget)
+    def test_holds(self, monkeypatch, C, k):
+        [row] = self.rows(monkeypatch, ((C, k),))
+        assert (row.status, row.computed) == ("match", "True")
 
-    def test_budget_runs_out_inside_the_gamma_level(self, wkp32):
+    @pytest.mark.parametrize("C,k", [(3, 1), (4, 2)])
+    def test_single_pass_fits_the_search_budget(self, monkeypatch, C, k):
+        # the row sweeps the optimal level once, inside min_kpds's own checks
+        budget = SearchBudget(max_subset_count=min_kpds(build_wkp(C, 2), k).checks_performed)
+        [row] = self.rows(monkeypatch, ((C, k),), budget)
+        assert row.ok
+
+    def test_budget_runs_out_inside_the_gamma_level(self, monkeypatch):
         # gamma=2 is found at check 26, but the 78 pairs are not all checked
         with pytest.raises(BudgetExceededError,
                            match=r"^needs every size-2 set enumerated; budget ran out$"):
-            level1_intersection_check(wkp32, 1, SearchBudget(max_subset_count=30))
+            self.rows(monkeypatch, ((3, 1),), SearchBudget(max_subset_count=30))
 
-    def test_regime_guard(self, wkp32):
-        with pytest.raises(RegimeError):
-            level1_intersection_check(wkp32, 3)  # k >= C
-        with pytest.raises(RegimeError):
-            level1_intersection_check(build_wkp(2, 2), 1)  # C < 3
-        with pytest.raises(RegimeError):
-            level1_intersection_check(build_wkp(3, 3), 1)  # L != 2
+    def test_one_whole_level_search_per_case(self, monkeypatch):
+        real, results = report.min_kpds, []
+
+        def recorded(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(report, "min_kpds", recorded)
+        rows = list(report._rows_level1(SearchBudget(91)))
+        assert [r.status for r in rows] == ["match"] * len(report.LEVEL1_CASES)
+        assert [r.checks_performed for r in results] == [91, 13, 21]
+        assert all(r.exhausted for r in results)
+        # every optimal set is kept: the 21 optimal pairs of WKP(3,2) at k=1
+        assert len(results[0].witnesses) == len(naive_min_kpds(build_wkp(3, 2), 1)[1]) == 21
+        with pytest.raises(BudgetExceededError):
+            list(report._rows_level1(SearchBudget(90)))
 
 
 @pytest.mark.parametrize("C,L", list(small_wkp_cases()))
@@ -181,9 +203,13 @@ def test_subset_scan_runs_each_subset_once_up_to_gamma(monkeypatch, C, L, gamma,
     assert all(table is tables[0] for table in tables)
 
 
-def test_reference_imports_no_wkpdom_module_but_topology():
-    # The oracle must not share code with the engine or the solver it checks.
-    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize("module", [constructions, propagation, exact, reference, forts],
+                         ids=lambda module: module.__name__.rpartition(".")[2])
+def test_lower_layer_imports_no_wkpdom_module_but_topology(module):
+    # The layers below the report hold for any graph and share no code with
+    # one another: the oracle checks the engine and the solver, and the
+    # solver knows no claim of the paper.
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
