@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -275,6 +277,119 @@ class TestWriteFailure:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: cannot write {FULL}: ")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """Run the block with the cyclic garbage collector on or off, then restore its state."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return open(write_end, "w")
+
+
+SMALL_CONSTRUCT = ["construct", "--C", "3", "--L", "2", "--k", "1"]
+
+
+class TestCollectorPause:
+    # `main` runs the verb with the cyclic collector paused and leaves it
+    # as it found it, whichever way the call ends.
+    @staticmethod
+    def _arrange(monkeypatch, how):
+        """Set up one way for the call to end; returns a stdout stand-in to close after it."""
+        if how == "failing-construction":
+            monkeypatch.setattr(cli, "construct_kpds", lambda C, L, k: ({(0, 0)}, "level2"))
+        elif how == "crashing-construction":
+            def crash(C, L, k):
+                raise RuntimeError("not a documented failure")
+            monkeypatch.setattr(cli, "construct_kpds", crash)
+        elif how in ("full-stdout", "closed-pipe"):
+            stream = open(FULL, "w") if how == "full-stdout" else _closed_pipe()
+            monkeypatch.setattr(sys, "stdout", stream)
+            return stream
+        return None
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("argv,how,outcome", [
+        pytest.param(SMALL_CONSTRUCT, None, cli.EXIT_OK, id="exit-0"),
+        pytest.param(SMALL_CONSTRUCT, "failing-construction", cli.EXIT_REPORT_FAIL, id="exit-1"),
+        pytest.param(["verify", "--C", "3", "--L", "2", "--k", "1", "--set", "junk"], None,
+                     cli.EXIT_PARSE, id="exit-2-bad-set"),
+        pytest.param(SMALL_CONSTRUCT, "full-stdout", cli.EXIT_PARSE, id="exit-2-full-stdout",
+                     marks=pytest.mark.skipif(not os.path.exists(FULL),
+                                              reason="needs a device that refuses every write")),
+        pytest.param(["exact", "--C", "3", "--L", "3", "--k", "1", "--budget", "1"], None,
+                     cli.EXIT_BUDGET, id="exit-3"),
+        pytest.param(["construct", "--C", "3", "--L", "2", "--k", "0"], None, cli.EXIT_REGIME,
+                     id="exit-4"),
+        pytest.param(SMALL_CONSTRUCT, "closed-pipe", cli.EXIT_PIPE, id="exit-141"),
+        pytest.param(SMALL_CONSTRUCT, "crashing-construction", RuntimeError, id="uncaught"),
+        pytest.param(["construct", "--C", "3"], None, SystemExit, id="argparse-exit"),
+    ])
+    def test_collector_state_is_restored(self, capsys, monkeypatch, enabled, argv, how, outcome):
+        stream = self._arrange(monkeypatch, how)
+        try:
+            with _collector(enabled):
+                if isinstance(outcome, int):
+                    assert main(argv) == outcome
+                else:
+                    with pytest.raises(outcome):
+                        main(argv)
+                assert gc.isenabled() is enabled
+        finally:
+            if stream is not None:
+                stream.close()
+
+    def test_no_collection_runs_during_a_call(self, capsys):
+        # Unpaused, the 5,461 row tuples of WKP(4,6) and the run's lists
+        # would set off several passes.
+        generations = []
+
+        def hook(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        with _collector(True):
+            gc.collect()  # so the parse, before the pause, stays far below a pass
+            gc.callbacks.append(hook)
+            try:
+                code = main(["construct", "--C", "4", "--L", "6", "--k", "1"])
+            finally:
+                gc.callbacks.remove(hook)
+        assert code == 0
+        assert generations == []
+
+    @staticmethod
+    def _cycles_left(argv):
+        """How many objects in reference cycles one call of ``main(argv)`` leaves behind."""
+        with _collector(False):
+            gc.collect()
+            main(argv)
+            return gc.collect()
+
+    @pytest.mark.parametrize("small,large", [
+        (["construct", "--C", "3", "--L", "4", "--k", "1"],
+         ["construct", "--C", "4", "--L", "6", "--k", "1"]),
+        (["exact", "--C", "2", "--L", "2", "--k", "1"], ["exact", "--C", "3", "--L", "3", "--k", "1"]),
+        (["trace", "--C", "2", "--L", "2", "--k", "1", "--set", "(1,(1))"],
+         ["trace", "--C", "3", "--L", "4", "--k", "1", "--set", "(1,(1))"]),
+        (["gen", "--C", "3", "--L", "2"], ["gen", "--C", "3", "--L", "4"]),
+        # The report's instances are fixed: one stopped at its first search
+        # against the whole run.
+        (["check-paper", "--budget", "1"], ["check-paper"]),
+    ], ids=["construct", "exact", "trace", "gen", "check-paper"])
+    def test_cycles_left_do_not_grow_with_the_graph(self, capsys, small, large):
+        # What a paused call leaves to the collector is the parser's own
+        # cycles, so memory cannot grow with n.
+        assert self._cycles_left(small) == self._cycles_left(large)
 
 
 class TestStartup:
