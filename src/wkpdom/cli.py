@@ -242,7 +242,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _construct_payload(args: argparse.Namespace) -> dict:
     g = _pyramid(args)
     members, provenance = construct_kpds(args.C, args.L, args.k)
-    trace = propagate_fixpoint(g, args.k, [g.ordinal(a) for a in members])
+    trace = propagate_fixpoint(g, args.k, members)
     if not trace.covered:
         raise ConstructionError(
             f"construction for (C={args.C}, L={args.L}, k={args.k}) failed verification")

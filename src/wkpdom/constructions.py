@@ -13,14 +13,15 @@ Four parameter regimes cover all C, L >= 1 and k >= 1:
   bound on the optimum.
 
 ``regime_of`` returns the ``RegimeTag`` and ``ham_cycle_wk`` the cycle's
-digit strings in cyclic order.  ``construct_kpds`` is the one construction
-entry point, read by both ``construct`` and ``check-paper``: it decides the
-regime once, builds the apex and level-2 sets inline and the general and
-spine sets with private helpers, and checks every set's size against
-``gamma_formula`` once.  The helpers only assemble vertex sets and check
-their own bookkeeping (the general set's bridge cliques); whether a set is
-a k-PDS is decided once, by the caller that reports it, with the
-propagation engine.
+WK(C, m) ordinals in cyclic order.  ``construct_kpds`` is the one
+construction entry point, read by both ``construct`` and ``check-paper``:
+it decides the regime once, builds the apex and level-2 sets inline and
+the general and spine sets with private helpers, and checks every set's
+size against ``gamma_formula`` once.  Sets are WKP(C, L) ordinals, worked
+out from the level offsets and base-C block values; no graph is built.
+The helpers only assemble vertex sets and check their own bookkeeping
+(the general set's bridge cliques); whether a set is a k-PDS is decided
+once, by the caller that reports it, with the propagation engine.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .topology import APEX, Address, ParameterDomainError, block_bridge, check_dimensions, check_k
+from .topology import WKP, ParameterDomainError, _level_offsets, check_dimensions, check_k
 
 
 class RegimeError(ValueError):
@@ -89,7 +90,7 @@ def gamma_formula(C: int, L: int, k: int) -> GammaValue:
     return GammaValue((L + 3) // 3, False)  # ceil((L+1)/3)
 
 
-def _ham_path(C: int, m: int, ends: list[int]) -> list[tuple[int, ...]]:
+def _ham_path(C: int, m: int, ends: list[int]) -> list[int]:
     """Hamiltonian path of WK(C, m) through the sub-meshes ``ends[1:-1]`` in order.
 
     Sub-mesh s = ends[t] is crossed from its extreme vertex toward a =
@@ -97,25 +98,29 @@ def _ham_path(C: int, m: int, ends: list[int]) -> list[tuple[int, ...]]:
     by the path through its own sub-meshes a, ascending others, b.
     Consecutive sub-meshes i and j are joined by their unique bridge, which
     attaches at i (j)^(m-1) and j (i)^(m-1); toward itself, a sub-mesh's
-    extreme vertex is that of WK(C, m).
+    extreme vertex is that of WK(C, m).  A string is its base-C value, so
+    sub-mesh s holds the values s C^(m-1) + x, x a string of WK(C, m-1).
     """
     if m == 1:
-        return [(s,) for s in ends[1:-1]]
-    path: list[tuple[int, ...]] = []
+        return ends[1:-1]
+    path: list[int] = []
+    size = C ** (m - 1)
     for t in range(1, len(ends) - 1):
         a, b = ends[t - 1], ends[t + 1]
         inner = [a, a, *(d for d in range(C) if d not in (a, b)), b, b]
-        path.extend((ends[t],) + suffix for suffix in _ham_path(C, m - 1, inner))
+        base = ends[t] * size
+        path += [base + x for x in _ham_path(C, m - 1, inner)]
     return path
 
 
-def ham_cycle_wk(C: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Fixed recursive Hamiltonian cycle of WK(C, m), C >= 3: its digit strings in cyclic order.
+def ham_cycle_wk(C: int, m: int) -> tuple[int, ...]:
+    """Fixed recursive Hamiltonian cycle of WK(C, m), C >= 3: its ordinals in cyclic order.
 
-    Sub-meshes are visited in the order 0..C-1; sub-mesh i is crossed by a
-    Hamiltonian path from its bridge endpoint toward i-1 to the one toward
-    i+1 (mod C).  Deterministic, O(C^m); validity is machine-checked in the
-    test suite rather than argued here.
+    A vertex's ordinal is its digit string read in base C.  Sub-meshes are
+    visited in the order 0..C-1; sub-mesh i is crossed by a Hamiltonian
+    path from its bridge endpoint toward i-1 to the one toward i+1 (mod C).
+    Deterministic, O(C^m); validity is machine-checked in the test suite
+    rather than argued here.
     """
     if C < 3:
         raise ParameterDomainError(f"a Hamiltonian cycle needs C >= 3, got C={C}")
@@ -124,59 +129,85 @@ def ham_cycle_wk(C: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_ham_path(C, m, [C - 1, *range(C), 0]))
 
 
-def _general(C: int, L: int, k: int) -> set[Address]:
+def _bridge_cliques(C: int, a: int, b: int) -> tuple[int, int] | None:
+    """The cliques (out, in) of the level-L edge from block a to block b, or None.
+
+    Blocks are the strings of WK(C, L-2) as base-C values, and the edge
+    joins a out out to b in in.  Cliques stay inside a block, so the only
+    level-L edges leaving block a are the rule-2 bridges of its strings
+    a d d.  For clique-mates (a and b differ in the last digit alone) d is
+    b's last digit: the bridge swaps the run d d with a's last digit, so
+    out is b's last digit and in is a's.  Otherwise d is a's last digit,
+    whose run reaches into a: for a = P c d^t the bridge joins P c d^(t+2)
+    to P d c^(t+2), so it ends in block b only if b is P d c^t, a's own
+    rule-2 partner, and then out is d and in is c.
+    """
+    d, c = a % C, b % C
+    if a // C == b // C:
+        return (c, d) if c != d else None
+    if c == d:
+        return None
+    while a % C == d and b % C == c:
+        a //= C
+        b //= C
+    return (d, c) if a % C == c and b % C == d and a // C == b // C else None
+
+
+def _general(C: int, L: int, k: int) -> set[int]:
     """The GENERAL set: C-k-1 vertices per level-L block, (C-k-1) * C^(L-2) in all.
 
     The level-L blocks are threaded into the cyclic order of ``ham_cycle_wk``;
     consecutive blocks meet in exactly one crossing edge whose endpoints are
-    repeated-last-two-digit vertices.  Per block the set takes the
-    level-(L-1) parent of the outgoing endpoint plus C-k-2 level-L vertices,
-    one from each of the lexicographically smallest cliques that avoid both
-    the incoming-endpoint clique and the outgoing-endpoint clique (inside a
-    chosen clique: the smallest member that is not extreme in its block).
+    repeated-last-two-digit vertices.  Per block b the set takes the
+    level-(L-1) parent b out of the outgoing endpoint plus C-k-2 level-L
+    vertices, one from each of the smallest cliques c that avoid both the
+    incoming clique and the outgoing clique (inside a chosen clique: the
+    smallest member that is not extreme in its block, b c 1 for c = 0 and
+    b c 0 otherwise).
     """
     cycle = ham_cycle_wk(C, L - 2)
-    chosen: set[Address] = set()
+    up, low = _level_offsets(WKP, C, L)[L - 1:L + 1]
+    chosen: set[int] = set()
     # Each crossing edge is computed once: a block's outgoing edge is the
     # next block's incoming one.
-    edge_in = block_bridge(cycle[-1], cycle[0])
+    edge_in = _bridge_cliques(C, cycle[-1], cycle[0])
     for t, block in enumerate(cycle):
         prev_block, next_block = cycle[t - 1], cycle[(t + 1) % len(cycle)]
-        edge_out = block_bridge(block, next_block)
+        edge_out = _bridge_cliques(C, block, next_block)
         if edge_in is None or edge_out is None:
             raise ConstructionError(
                 f"blocks {prev_block}->{block}->{next_block} are not consecutive-adjacent"
             )
-        clique_in = edge_in[1][-1]
-        clique_out = edge_out[0][-1]
+        clique_in, clique_out = edge_in[1], edge_out[0]
         if clique_in == clique_out:
             raise ConstructionError(
                 f"block {block}: incoming and outgoing bridges attach to the same "
                 f"C-clique {clique_in}; the cyclic block order is unusable"
             )
-        chosen.add(block + (clique_out,))
-        spare = [c for c in range(C) if c not in (clique_in, clique_out)]
-        for c in spare[: C - k - 2]:
-            chosen.add(block + (c, 1 if c == 0 else 0))
+        chosen.add(up + block * C + clique_out)
+        spare = [c for c in range(C) if c != clique_in and c != clique_out]
+        chosen.update(low + (block * C + c) * C + (c == 0) for c in spare[: C - k - 2])
         edge_in = edge_out
     return chosen
 
 
-def _spine(L: int) -> set[Address]:
+def _spine(C: int, L: int) -> set[int]:
     """The K_EQ_C_MINUS_1_UPPER set: all-zero spine vertices three levels apart.
 
-    The level pattern depends on L mod 3 and for L=3m includes the apex.
+    The spine vertex 0^r is the first of level r, ordinal offset(r).  The
+    level pattern depends on L mod 3 and for L=3m includes the apex.
     """
+    offset = _level_offsets(WKP, C, L)
     m, rem = divmod(L, 3)
     if rem == 0:
-        return {APEX, *((0,) * (3 * i - 1) for i in range(1, m + 1))}
+        return {0, *(offset[3 * i - 1] for i in range(1, m + 1))}
     if rem == 1:
-        return {(0,), *((0,) * (3 * i) for i in range(1, m + 1))}
-    return {(0,) * (3 * i - 2) for i in range(1, m + 2)}
+        return {offset[1], *(offset[3 * i] for i in range(1, m + 1))}
+    return {offset[3 * i - 2] for i in range(1, m + 2)}
 
 
-def construct_kpds(C: int, L: int, k: int) -> tuple[set[Address], str]:
-    """The regime's k-PDS of WKP(C, L) and its provenance tag.
+def construct_kpds(C: int, L: int, k: int) -> tuple[set[int], str]:
+    """The regime's k-PDS of WKP(C, L) as ordinals, and its provenance tag.
 
     The tags are ``trivial-apex``, ``level2``, ``general-hamiltonian`` and,
     for the k=C-1 spine, ``kc1-case1/2/3``, which names its level pattern by
@@ -187,17 +218,17 @@ def construct_kpds(C: int, L: int, k: int) -> tuple[set[Address], str]:
         # With k >= C each vertex can propagate past its C children, so
         # monitoring cascades level by level from the apex; for C=1 and L=1
         # the graph is a path or a complete graph.
-        chosen, provenance = {APEX}, "trivial-apex"
+        chosen, provenance = {0}, "trivial-apex"
     elif tag is RegimeTag.LEVEL2:
         # Each seed (i), k <= i <= C-1, monitors the apex, level 1 and its
         # children; a child (i j) with j < k then lacks only its bridge
         # partner (j i), so each unseeded (j) is left with its k children
         # (j j'), j' < k, unmonitored and fires.
-        chosen, provenance = {(i,) for i in range(k, C)}, "level2"
+        chosen, provenance = {1 + i for i in range(k, C)}, "level2"
     elif tag is RegimeTag.GENERAL:
         chosen, provenance = _general(C, L, k), "general-hamiltonian"
     else:
-        chosen, provenance = _spine(L), f"kc1-case{L % 3 + 1}"
+        chosen, provenance = _spine(C, L), f"kc1-case{L % 3 + 1}"
     expected = gamma_formula(C, L, k).value
     if len(chosen) != expected:
         raise ConstructionError(f"built {len(chosen)} vertices, expected {expected}")

@@ -23,7 +23,6 @@ no randomness.
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 from typing import Iterator, NamedTuple
 
@@ -121,7 +120,7 @@ def _rows_gamma_general(budget: SearchBudget) -> Iterator[ReportRow]:
     # by construction and the lower bound by one fort group per level-3 block.
     g = _graph(WKP, 4, 3)
     S, _ = construct_kpds(4, 3, 1)
-    ok = len(S) == 8 and is_kpds(g, 1, [g.ordinal(a) for a in S])
+    ok = len(S) == 8 and is_kpds(g, 1, S)
     yield _row(2, "construction WKP(4,3) k=1", "verified 1-PDS of size 8",
                f"size {len(S)}, verified={ok}", ok)
     cert = block_fort_certificate(g, 1)
@@ -158,7 +157,7 @@ def _rows_kc1() -> Iterator[ReportRow]:
         g = _graph(WKP, C, L)
         expected = (L + 3) // 3
         S, _ = construct_kpds(C, L, C - 1)
-        ok = len(S) == expected and is_kpds(g, C - 1, [g.ordinal(a) for a in S])
+        ok = len(S) == expected and is_kpds(g, C - 1, S)
         yield _row(4, f"spine set WKP({C},{L}) k={C - 1}",
                    f"verified PDS of size {expected}",
                    f"size {len(S)}, verified={ok}", ok)
@@ -196,7 +195,7 @@ def _rows_radius_note() -> Iterator[ReportRow]:
         g = _graph(WKP, C, L)
         S, _ = construct_kpds(C, L, k)
         bound = max(5, L - 1)
-        got = radius_of_set(g, k, [g.ordinal(a) for a in S])
+        got = radius_of_set(g, k, S)
         yield _row(7, f"radius of built set WKP({C},{L}) k={k}", f"<= {bound}",
                    str(got), got <= bound, BOUND_HOLDS)
     for C, L in RADIUS_NOTE_APEX:
@@ -309,12 +308,14 @@ def _structure_cases():
 
 def _check_structure(family: str, C: int, L: int) -> str | None:
     g = _graph(family, C, L)
+    adj = g.adjacency
     extremes = {g.ordinal(a) for a in extreme_vertices(g)}
     if g.n != (_wkp_order(C, L) if family == WKP else C ** L):
         return f"{family}({C},{L}): bad vertex count {g.n}"
     for r in range(L + 1):
         for i in g.level_ordinals(r):
-            d = g.degree(i)
+            row = adj[i]
+            d = len(row)
             if family == WK:
                 want = C - 1 if i in extremes else C
             elif r == 0:
@@ -325,10 +326,10 @@ def _check_structure(family: str, C: int, L: int) -> str | None:
                 want = C if i in extremes else C + 1
             if d != want:
                 return f"{family}({C},{L}): {format_address(g.address(i))} has degree {d}, expected {want}"
-            if i in g.adjacency[i]:
+            if i in row:
                 return f"{family}({C},{L}): self-loop at {format_address(g.address(i))}"
-            for j in g.adjacency[i]:
-                if i not in g.adjacency[j]:
+            for j in row:
+                if i not in adj[j]:
                     return f"{family}({C},{L}): asymmetric edge {i},{j}"
     return None
 
@@ -349,11 +350,11 @@ def _prop_ham_cycles() -> tuple[bool, str]:
         for m in (1, 2, 3):
             g = _graph(WK, C, m)
             cycle = ham_cycle_wk(C, m)
-            if sorted(cycle) != list(itertools.product(range(C), repeat=m)):
+            if sorted(cycle) != list(range(C ** m)):
                 return False, f"WK({C},{m}): cycle is not a permutation of the vertices"
             for t, w in enumerate(cycle):
                 nxt = cycle[(t + 1) % len(cycle)]
-                if not g.has_edge(g.ordinal(w), g.ordinal(nxt)):
+                if not g.has_edge(w, nxt):
                     return False, f"WK({C},{m}): {w} and {nxt} are not adjacent"
             count += 1
     return True, f"{count} cycles valid"

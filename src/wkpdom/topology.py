@@ -273,23 +273,6 @@ def _level_offsets(family: str, C: int, L: int) -> tuple[int, ...]:
     return tuple(itertools.accumulate((C ** r for r in range(L + 1)), initial=0))
 
 
-def rule2_partner(digits: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Bridge partner of a digit string, or None for repeated-digit strings.
-
-    With the string ending in a run of t equal digits b preceded by c != b,
-    the partner swaps them: prefix + (b,) + (c,) * t.
-    """
-    r = len(digits)
-    last = digits[-1]
-    t = 1
-    while t < r and digits[r - 1 - t] == last:
-        t += 1
-    if t == r:
-        return None
-    c = digits[r - 1 - t]
-    return digits[: r - 1 - t] + (last,) + (c,) * t
-
-
 #: A class's rows are zipped this many at a time.  The cyclic collector walks
 #: each column slice once, so short slices are walked while still in cache.
 _CHUNK = 256
@@ -375,24 +358,6 @@ def extreme_vertices(g: PyramidGraph) -> set[Address]:
     if g.family == WK:
         return {(a,) * g.L for a in range(g.C)}
     return {(a,) * r for r in range(1, g.L + 1) for a in range(g.C)}
-
-
-def block_bridge(a: tuple[int, ...],
-                 b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The level-L edge (u, v), u in block a and v in block b, as digit strings.
-
-    Cliques stay inside a block, so the only level-L edges leaving block a
-    are the rule-2 bridges of its strings a d d, and only one d can reach b.
-    For clique-mates (a and b differ in the last digit alone) it is b's last
-    digit: the bridge swaps the run d d with a's last digit, landing in
-    a[:-1] + (d,).  Otherwise it is a's last digit, whose run reaches into
-    a, since any other d lands in a clique-mate of a.  None if that bridge
-    does not end in block b.
-    """
-    d = b[-1] if a[:-1] == b[:-1] else a[-1]
-    u = a + (d, d)
-    v = rule2_partner(u)
-    return (u, v) if v is not None and v[:-2] == b else None
 
 
 def export(g: PyramidGraph, format: str = "json") -> str:

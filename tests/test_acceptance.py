@@ -140,9 +140,10 @@ def test_domination_row_fails_when_the_engine_misreads_closed_neighbourhoods(mon
 @pytest.mark.parametrize("bad, literal", [(0, "(0,(1))"), (5, "(2,(01))")])
 def test_structure_check_names_the_failing_vertex_by_its_literal(monkeypatch, bad, literal):
     # WKP(3,2) orders the apex first, then level 1, then level 2: ordinal 5
-    # is the digit string 01.
-    real = PyramidGraph.degree
-    monkeypatch.setattr(PyramidGraph, "degree", lambda self, i: real(self, i) + (i == bad))
+    # is the digit string 01.  Its row gains a spare neighbour, 12.
+    g = PyramidGraph("WKP", 3, 2)
+    g.adjacency = tuple(row + (12,) * (i == bad) for i, row in enumerate(g.adjacency))
+    monkeypatch.setattr(paper_report, "_graph", lambda family, C, L: g)
     problem = paper_report._check_structure("WKP", 3, 2)
     assert problem is not None and problem.startswith(f"WKP(3,2): {literal} has degree "), problem
 

@@ -198,8 +198,9 @@ class TestConstruct:
         assert max(map(len, writes)) <= longest + len(", ")
 
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
+        # {4} is the vertex (0, 0) of WKP(3, 2) alone, not a 1-PDS.
         monkeypatch.setattr(cli, "construct_kpds",
-                            lambda C, L, k: ({(0, 0)}, "level2"))
+                            lambda C, L, k: ({4}, "level2"))
         code = main(["construct", "--C", "3", "--L", "2", "--k", "1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -306,7 +307,7 @@ class TestCollectorPause:
     def _arrange(monkeypatch, how):
         """Set up one way for the call to end; returns a stdout stand-in to close after it."""
         if how == "failing-construction":
-            monkeypatch.setattr(cli, "construct_kpds", lambda C, L, k: ({(0, 0)}, "level2"))
+            monkeypatch.setattr(cli, "construct_kpds", lambda C, L, k: ({4}, "level2"))
         elif how == "crashing-construction":
             def crash(C, L, k):
                 raise RuntimeError("not a documented failure")

@@ -68,7 +68,7 @@ def cross_check_seeds(family, C, L, g, k):
     seeds = [[v] for v in range(g.n)] + [[0, v] for v in range(1, g.n)]
     if family == "wkp":
         try:
-            seeds.append(ordinals(g, construct_kpds(C, L, k)[0]))
+            seeds.append(sorted(construct_kpds(C, L, k)[0]))
         except RegimeError:
             pass
     return seeds
@@ -112,7 +112,7 @@ class TestRound:
         assert propagate_fixpoint(g, 1, seed).rounds[1] > P0
 
     def test_level2_seed_first_round(self, wkp52):
-        S = ordinals(wkp52, construct_kpds(5, 2, 1)[0])
+        S = sorted(construct_kpds(5, 2, 1)[0])
         rounds = propagate_fixpoint(wkp52, 1, S).rounds
         added = {format_address(wkp52.address(v)) for v in rounds[1] - rounds[0]}
         assert added == {"(2,(01))", "(2,(02))", "(2,(03))", "(2,(04))"}
@@ -138,7 +138,7 @@ class TestFixpoint:
         assert all(math.isinf(s) for s in trace.first_step)
 
     def test_level2_seed_covers_in_two_rounds(self, wkp52):
-        S = ordinals(wkp52, construct_kpds(5, 2, 1)[0])
+        S = sorted(construct_kpds(5, 2, 1)[0])
         trace = propagate_fixpoint(wkp52, 1, S)
         assert len(trace.rounds) == 3
         assert trace.rounds[2] == frozenset(range(wkp52.n))
@@ -185,7 +185,7 @@ class TestFixpoint:
         # The WKP(3,7) k=2 spine needs 127 rounds; every round re-examining
         # all monitored vertices would read about 127 * n / 2 rows.
         g = build_wkp(3, 7)
-        S = ordinals(g, construct_kpds(3, 7, 2)[0])
+        S = sorted(construct_kpds(3, 7, 2)[0])
         g.adjacency = rows = CountingRows(g.adjacency)
         result = prop(g, 2, S)
         assert (result.round_count if prop is propagate_fixpoint else result) == 127
@@ -365,7 +365,7 @@ class TestRadius:
         assert radius_of_set(wkp32, 1, range(wkp32.n)) == 1
 
     def test_level2_seed(self, wkp52):
-        assert radius_of_set(wkp52, 1, ordinals(wkp52, construct_kpds(5, 2, 1)[0])) == 3
+        assert radius_of_set(wkp52, 1, sorted(construct_kpds(5, 2, 1)[0])) == 3
 
     def test_non_pds_is_never(self, wkp32):
         assert math.isinf(radius_of_set(wkp32, 1, [wkp32.ordinal(APEX)]))
@@ -373,7 +373,7 @@ class TestRadius:
 
 class TestCertificates:
     def test_certificate_fields(self, wkp32):
-        S = ordinals(wkp32, construct_kpds(3, 2, 1)[0])
+        S = sorted(construct_kpds(3, 2, 1)[0])
         trace = propagate_fixpoint(wkp32, 1, S)
         assert trace.covered
         assert trace.radius == radius_of_set(wkp32, 1, S) == 3
@@ -403,7 +403,7 @@ def test_trace_json_rounds_list_every_round(family, C, L):
     g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
     if (family, C, L) in LONG_RUNS:
         k = LONG_RUNS[family, C, L]
-        runs = [(k, ordinals(g, construct_kpds(C, L, k)[0]))]
+        runs = [(k, sorted(construct_kpds(C, L, k)[0]))]
     else:
         seeds = [[], range(g.n)] + [[v] for v in range(g.n)]
         runs = [(k, S) for k in sorted({0, 1, C - 1}) for S in seeds]
@@ -422,7 +422,7 @@ def test_trace_encoding_holds_no_literal_per_vertex():
     # at a time, about 2.6 MiB; a list of 21,845 literal strings alone would
     # add about 1.4 MiB.
     g = build_wkp(4, 7)
-    trace = propagate_fixpoint(g, 3, ordinals(g, construct_kpds(4, 7, 3)[0]))
+    trace = propagate_fixpoint(g, 3, sorted(construct_kpds(4, 7, 3)[0]))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -22,14 +22,13 @@ from wkpdom import (
 )
 from wkpdom.cli import main
 from wkpdom import topology
+from wkpdom.constructions import _bridge_cliques
 from wkpdom.topology import (
     WK,
     WKP,
     PyramidGraph,
-    block_bridge,
     export_pieces,
     quoted_line,
-    rule2_partner,
 )
 
 
@@ -71,15 +70,38 @@ def scan_crossing_edges(g, w, w2):
     return found[0] if found else None
 
 
+def value(C, w):
+    """A digit string's value in base C: its ordinal in WK(C, len(w))."""
+    x = 0
+    for d in w:
+        x = x * C + d
+    return x
+
+
 def bridge_ordinals(g, w, w2):
-    """``block_bridge`` of the blocks w and w2 as an ordinal pair (i, j), i < j."""
-    bridge = block_bridge(w, w2)
-    if bridge is None:
+    """The edge w out out -- w2 in in named by ``_bridge_cliques``, as ordinals (i, j), i < j."""
+    cliques = _bridge_cliques(g.C, value(g.C, w), value(g.C, w2))
+    if cliques is None:
         return None
-    u, v = bridge
-    assert u[:-2] == w and v[:-2] == w2
-    i, j = sorted(map(g.ordinal, bridge))
+    out, into = cliques
+    i, j = sorted([g.ordinal(w + (out, out)), g.ordinal(w2 + (into, into))])
     return i, j
+
+
+def rule2_partner(d):
+    """Bridge partner of a digit string by rule 2, or None for repeated-digit strings.
+
+    With the string ending in a run of t equal digits b preceded by c != b,
+    the partner swaps them: prefix + (b,) + (c,) * t.
+    """
+    r, last = len(d), d[-1]
+    t = 1
+    while t < r and d[r - 1 - t] == last:
+        t += 1
+    if t == r:
+        return None
+    c = d[r - 1 - t]
+    return d[: r - 1 - t] + (last,) + (c,) * t
 
 
 def addresses(g):
@@ -435,15 +457,16 @@ class TestCliqueMembers:
 
 
 class TestCrossingEdge:
-    """The level-L edge between two blocks, as ``block_bridge`` finds it."""
+    """The level-L edge between two blocks, as ``_bridge_cliques`` names it."""
 
     def test_adjacent_blocks_of_wkp_3_3(self):
-        assert block_bridge((0,), (1,)) == ((0, 1, 1), (1, 0, 0))
+        assert _bridge_cliques(3, 0, 1) == (1, 0)  # (0, 1, 1) -- (1, 0, 0)
         g = build_wkp(3, 3)
+        assert bridge_ordinals(g, (0,), (1,)) == (g.ordinal((0, 1, 1)), g.ordinal((1, 0, 0)))
         assert g.has_edge(g.ordinal((0, 1, 1)), g.ordinal((1, 0, 0)))
 
     def test_non_adjacent_blocks_absent(self):
-        assert block_bridge((0, 0), (1, 1)) is None
+        assert _bridge_cliques(3, value(3, (0, 0)), value(3, (1, 1))) is None
 
     @pytest.mark.parametrize("C,L", [(2, 3), (3, 3), (4, 3), (3, 4), (4, 4),
                                      (5, 3), (2, 5), (3, 5)])
