@@ -40,12 +40,13 @@ def block_fort_certificate(g: PyramidGraph, k: int) -> Certificate:
     if g.family != WKP or g.L < 2:
         raise ParameterDomainError("block forts are defined on WKP graphs with L >= 2")
     check_k(k)
-    subsets = list(itertools.combinations(range(g.C), k + 2))
-    if not subsets:
+    # w a b is offset(L) + w C^2 + a C + b: one list of a C + b per K, added to each block base.
+    forts = [[a * g.C + b for a, b in itertools.permutations(K, 2)]
+             for K in itertools.combinations(range(g.C), k + 2)]
+    if not forts:
         return []
-    return [(g.C - k - 1, [frozenset(g.ordinal(w + ab) for ab in itertools.permutations(K, 2))
-                           for K in subsets])
-            for w in itertools.product(range(g.C), repeat=g.L - 2)]
+    return [(g.C - k - 1, [frozenset([base + x for x in F]) for F in forts])
+            for base in range(g.offsets[g.L], g.n, g.C ** 2)]
 
 
 def check_fort_certificate(g: PyramidGraph, k: int, cert: Certificate) -> int:
@@ -54,8 +55,7 @@ def check_fort_certificate(g: PyramidGraph, k: int, cert: Certificate) -> int:
     Reads only ``g.adjacency``.
     """
     adj, seen, total = g.adjacency, set(), 0
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be an int >= 0, got {k!r}")
+    check_k(k)
     for c, forts in cert:
         # The forts' type is checked before they are read, so a malformed
         # group is a ValueError, never a TypeError from ``len`` or ``for``.

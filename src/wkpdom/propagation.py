@@ -178,12 +178,12 @@ class MonitorTrace(NamedTuple):
 def propagate_fixpoint(g: PyramidGraph, k: int, S: Iterable[int]) -> MonitorTrace:
     """Run rounds from the closed neighborhood of S until coverage or fixpoint."""
     check_k(k)
-    S, n = frozenset(S), g.n
+    S, n = tuple(S), g.n  # every seed is checked, before a set could fold True into 1
     for v in S:
-        if not 0 <= v < n:
-            raise ParameterDomainError(f"vertex ordinal {v} out of range for |V|={n}")
+        if type(v) is not int or not 0 <= v < n:
+            raise ParameterDomainError(f"seed {v!r} is not a vertex ordinal, an int in range({n})")
     first, step, covered = _run(g.adjacency, k, S)
-    return MonitorTrace(k, S, tuple(first), step + 1, covered)
+    return MonitorTrace(k, frozenset(S), tuple(first), step + 1, covered)
 
 
 def is_kpds(g: PyramidGraph, k: int, S: Iterable[int]) -> bool:

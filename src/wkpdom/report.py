@@ -31,7 +31,6 @@ from .constructions import construct_kpds, ham_cycle_wk
 from .exact import SearchBudget, first_min_kpds, min_kpds, propagation_radius
 from .propagation import is_kpds, propagate_fixpoint, radius_of_set
 from .topology import (
-    APEX,
     WK,
     WKP,
     PyramidGraph,
@@ -141,7 +140,7 @@ GAMMA_ONE_CASES = ((1, 5, 1), (4, 1, 2), (3, 3, 3), (2, 4, 2))
 def _rows_gamma_one(budget: SearchBudget) -> Iterator[ReportRow]:
     for C, L, k in GAMMA_ONE_CASES:
         g = _graph(WKP, C, L)
-        apex_ok = is_kpds(g, k, [g.ordinal(APEX)])
+        apex_ok = is_kpds(g, k, [0])
         got, text = _gamma(g, k, budget)
         yield _row(3, f"gamma WKP({C},{L}) k={k}", "1 (apex suffices)",
                    f"{text} (apex suffices: {apex_ok})", apex_ok and got == 1)
@@ -200,7 +199,7 @@ def _rows_radius_note() -> Iterator[ReportRow]:
                    str(got), got <= bound, BOUND_HOLDS)
     for C, L in RADIUS_NOTE_APEX:
         g = _graph(WKP, C, L)
-        got = radius_of_set(g, C, [g.ordinal(APEX)])
+        got = radius_of_set(g, C, [0])
         yield _row(7, f"radius of apex WKP({C},{L}) k={C}", f"<= {L}",
                    str(got), got <= L, BOUND_HOLDS)
 
@@ -309,7 +308,7 @@ def _structure_cases():
 def _check_structure(family: str, C: int, L: int) -> str | None:
     g = _graph(family, C, L)
     adj = g.adjacency
-    extremes = {g.ordinal(a) for a in extreme_vertices(g)}
+    extremes = extreme_vertices(g)
     if g.n != (_wkp_order(C, L) if family == WKP else C ** L):
         return f"{family}({C},{L}): bad vertex count {g.n}"
     for r in range(L + 1):

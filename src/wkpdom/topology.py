@@ -76,15 +76,18 @@ def check_printable(C: int) -> None:
 
 
 def check_dimensions(C: int, L: int) -> None:
-    """Refuse C < 1 or L < 1: every graph here has at least one digit and one level."""
-    if C < 1:
-        raise ParameterDomainError(f"C must be >= 1, got {C}")
-    if L < 1:
-        raise ParameterDomainError(f"L must be >= 1, got {L}")
+    """Refuse a C or L that is not an int (bools included) or is below 1."""
+    for name, x in (("C", C), ("L", L)):
+        if type(x) is not int:
+            raise ParameterDomainError(f"{name} must be an int, got {x!r}")
+        if x < 1:
+            raise ParameterDomainError(f"{name} must be >= 1, got {x}")
 
 
 def check_k(k: int) -> None:
-    """Refuse a negative propagation allowance; k=0 is plain domination."""
+    """Refuse a k that is not an int (bools included) or is negative; k=0 is plain domination."""
+    if type(k) is not int:
+        raise ParameterDomainError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ParameterDomainError(f"k must be >= 0, got {k}")
 
@@ -353,11 +356,10 @@ def build_wkp(C: int, L: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Py
     return PyramidGraph(WKP, C, L, max_vertices)
 
 
-def extreme_vertices(g: PyramidGraph) -> set[Address]:
-    """All repeated-digit vertices: a^r per level r >= 1 for WKP, a^L for WK."""
-    if g.family == WK:
-        return {(a,) * g.L for a in range(g.C)}
-    return {(a,) * r for r in range(1, g.L + 1) for a in range(g.C)}
+def extreme_vertices(g: PyramidGraph) -> set[int]:
+    """The ordinals offset(r) + a (1 + C + ... + C^(r-1)) of a^r, r >= 1 in WKP, r = L in WK."""
+    levels = (g.L,) if g.family == WK else range(1, g.L + 1)
+    return {g.offsets[r] + a * sum(g.C ** p for p in range(r)) for r in levels for a in range(g.C)}
 
 
 def export(g: PyramidGraph, format: str = "json") -> str:
@@ -416,8 +418,7 @@ def graph_from_json(data: bytes | str) -> PyramidGraph:
                                        doc["vertices"], doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from None
-    if type(C) is not int or type(L) is not int:
-        raise ParameterDomainError(f"graph JSON: C and L must be integers, got {C!r} and {L!r}")
+    check_dimensions(C, L)
     # A canonical list ends at level L, which bounds L by the input's size
     # before the graph is built: WK(1, L) has one vertex for every L.
     last = listed[-1] if isinstance(listed, list) and listed else None

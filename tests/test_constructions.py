@@ -111,6 +111,11 @@ class TestRegimes:
         with pytest.raises(ParameterDomainError, match=r"^k must be >= 0, got -1$"):
             regime_of(3, 3, -1)
 
+    @pytest.mark.parametrize("C,L,k", [(4, 4, 1.5), (4, 4, True), (4.0, 4, 1), (4, 4.0, 1)])
+    def test_parameters_that_are_not_ints_rejected(self, C, L, k):
+        with pytest.raises(ParameterDomainError, match="must be an int, got "):
+            construct_kpds(C, L, k)
+
     def test_regimes_cover_and_exclude(self):
         # exactly one regime per parameter point, matching its defining bounds
         for C in range(1, 7):

@@ -88,6 +88,11 @@ class TestMinKpds:
         assert SearchBudget().max_subset_count == exact.DEFAULT_MAX_CHECKS
         assert SearchBudget(1).max_subset_count == 1
 
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_a_k_that_is_not_an_int_is_refused(self, wkp32, k):
+        with pytest.raises(ParameterDomainError, match="^k must be an int, got "):
+            min_kpds(wkp32, k)
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_witness_cap_below_one_is_refused(self, wkp32, cap):
         # A result promises a witness, which cli's exact reads as witnesses[0].

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import types
 
 import pytest
@@ -19,6 +20,7 @@ from wkpdom import (
 )
 from wkpdom.forts import block_fort_certificate, check_fort_certificate
 from wkpdom.report import GAMMA_L2_CASES
+from wkpdom.topology import PyramidGraph
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,25 @@ def wkp43():
 @pytest.fixture(scope="module")
 def cert43(wkp43):
     return block_fort_certificate(wkp43, 1)
+
+
+def digit_string_certificate(g, k):
+    """The block forts built as digit strings w a b and mapped through ``g.ordinal``."""
+    subsets = list(itertools.combinations(range(g.C), k + 2))
+    if not subsets:
+        return []
+    return [(g.C - k - 1, [frozenset(g.ordinal(w + ab) for ab in itertools.permutations(K, 2))
+                           for K in subsets])
+            for w in itertools.product(range(g.C), repeat=g.L - 2)]
+
+
+def pyramids_with_blocks(max_vertices=2000):
+    """Every WKP(C, L) with 2 <= C <= 6, L >= 2 and at most ``max_vertices`` vertices."""
+    for C in range(2, 7):
+        L = 2
+        while 1 + sum(C ** r for r in range(1, L + 1)) <= max_vertices:
+            yield C, L
+            L += 1
 
 
 def general_cases(max_vertices=400):
@@ -62,6 +83,31 @@ class TestBlockForts:
     def test_needs_a_pyramid_with_blocks(self, g):
         with pytest.raises(ParameterDomainError):
             block_fort_certificate(g, 1)
+
+    @pytest.mark.parametrize("k", [1.5, True, "1"])
+    def test_a_k_that_is_not_an_int(self, wkp43, k):
+        with pytest.raises(ParameterDomainError, match="^k must be an int, got "):
+            block_fort_certificate(wkp43, k)
+
+    @pytest.mark.parametrize("C,L,k", [(C, L, k) for C, L in pyramids_with_blocks()
+                                       for k in range(C + 1)])
+    def test_equals_the_digit_string_forts(self, C, L, k):
+        g = build_wkp(C, L)
+        assert block_fort_certificate(g, k) == digit_string_certificate(g, k)
+
+    def test_sweep_covers_every_pyramid_up_to_2000_vertices(self):
+        assert list(pyramids_with_blocks()) == [
+            *((2, L) for L in range(2, 10)), *((3, L) for L in range(2, 7)),
+            *((4, L) for L in range(2, 6)), (5, 2), (5, 3), (5, 4), (6, 2), (6, 3), (6, 4)]
+
+    def test_builds_no_digit_string(self, wkp43, cert43, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a digit string was converted")
+
+        monkeypatch.setattr(PyramidGraph, "ordinal", refuse)
+        monkeypatch.setattr(PyramidGraph, "address", refuse)
+        monkeypatch.setattr(itertools, "product", refuse)
+        assert block_fort_certificate(wkp43, 1) == cert43
 
 
 class TestCheckerRejects:
@@ -138,9 +184,9 @@ class TestCheckerRejects:
         with pytest.raises(ValueError, match="k must be"):
             check_fort_certificate(wkp43, -1, cert43)
 
-    @pytest.mark.parametrize("k", [1.5, "1"])
+    @pytest.mark.parametrize("k", [1.5, "1", True])
     def test_a_k_that_is_not_an_int(self, wkp43, cert43, k):
-        with pytest.raises(ValueError, match="k must be"):
+        with pytest.raises(ParameterDomainError, match="^k must be an int, got "):
             check_fort_certificate(wkp43, k, cert43)
 
     def test_a_dropped_group_lowers_the_total(self, wkp43, cert43):

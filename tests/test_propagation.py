@@ -101,6 +101,19 @@ class TestClosedNeighborhood:
         with pytest.raises(ParameterDomainError):
             propagate_fixpoint(wkp32, 1, [wkp32.n])
 
+    @pytest.mark.parametrize("seed", [[True], [1.0], ["1"], [1, True], [True, 1]])
+    def test_a_seed_that_is_not_an_int(self, wkp32, seed):
+        with pytest.raises(ParameterDomainError, match="is not a vertex ordinal"):
+            propagate_fixpoint(wkp32, 1, seed)
+
+    @pytest.mark.parametrize("k", [2.5, True, "2"])
+    def test_a_k_that_is_not_an_int(self, k):
+        # No count ever equals a k of 2.5, so the round loop would stop uncovered after 8 rounds.
+        g = build_wkp(3, 3)
+        assert propagate_fixpoint(g, 2, [36, 4]).round_count == 9
+        with pytest.raises(ParameterDomainError, match="^k must be an int, got "):
+            propagate_fixpoint(g, k, [36, 4])
+
 
 class TestRound:
     def test_zero_allowance_blocks_single_gap(self):

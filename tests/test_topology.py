@@ -36,9 +36,9 @@ def wkp_count(C, L):
     return 1 + sum(C ** r for r in range(1, L + 1))
 
 
-def sweep_cases(limit=2000):
+def sweep_cases(limit=2000, max_L=5):
     for C in range(1, 7):
-        for L in range(1, 6):
+        for L in range(1, max_L + 1):
             if wkp_count(C, L) <= limit:
                 yield "wkp", C, L
             if C ** L <= limit:
@@ -46,6 +46,8 @@ def sweep_cases(limit=2000):
 
 
 SWEEP = list(sweep_cases())
+#: Every WK and WKP graph with C <= 6, L <= 6 and at most 2,000 vertices.
+SWEEP_L6 = list(sweep_cases(max_L=6))
 #: Alphabets above the sweep's C <= 6, for the builders' bridge arithmetic,
 #: up to alphabets whose addresses cannot be printed.
 LARGE_C = [("wkp", 7, 3), ("wkp", 10, 2), ("wk", 8, 3), ("wk", 10, 3),
@@ -210,6 +212,13 @@ class TestBuilders:
         with pytest.raises(ParameterDomainError):
             build_wkp(C, L)
 
+    @pytest.mark.parametrize("C,L,name", [(3.0, 2, "C"), (3, 2.0, "L"), (True, 2, "C"),
+                                          (3, True, "L"), ("3", 2, "C")])
+    def test_dimensions_that_are_not_ints_rejected(self, C, L, name):
+        for builder in (build_wk, build_wkp):
+            with pytest.raises(ParameterDomainError, match=f"^{name} must be an int, got "):
+                builder(C, L)
+
     def test_size_guard(self):
         with pytest.raises(ParameterDomainError):
             build_wkp(10, 6)
@@ -256,7 +265,7 @@ def test_structural_invariants(family, C, L):
         assert g.n == C ** L
     else:
         assert g.n == wkp_count(C, L)
-    extremes = {g.ordinal(a) for a in extreme_vertices(g)}
+    extremes = extreme_vertices(g)
     for i, a in enumerate(addresses(g)):
         assert i not in g.adjacency[i]
         for j in g.adjacency[i]:
@@ -407,17 +416,25 @@ def test_top_level_of_pyramid_induces_wk(C, L):
 
 class TestExtremeVertices:
     def test_wkp_3_2(self, wkp32):
-        assert extreme_vertices(wkp32) == {
-            (0,), (1,), (2,),
-            (0, 0), (1, 1), (2, 2),
-        }
+        # (0) (1) (2) are ordinals 1-3; (00) (11) (22) are 4 + a (1 + 3).
+        assert extreme_vertices(wkp32) == {1, 2, 3, 4, 8, 12}
 
     def test_wk_3_1_all_vertices(self):
         g = build_wk(3, 1)
-        assert extreme_vertices(g) == set(addresses(g))
+        assert extreme_vertices(g) == set(range(g.n))
 
     def test_wkp_2_3_has_six(self):
         assert len(extreme_vertices(build_wkp(2, 3))) == 6
+
+    def test_sweep_covers_62_graphs(self):
+        assert len(SWEEP_L6) == 62
+
+    @pytest.mark.parametrize("family,C,L", SWEEP_L6)
+    def test_equals_the_vertices_whose_digits_are_all_equal(self, family, C, L):
+        g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+        got = extreme_vertices(g)
+        assert all(type(v) is int for v in got)
+        assert got == {v for v, a in enumerate(addresses(g)) if a and len(set(a)) == 1}
 
 
 class TestBlocks:
@@ -638,12 +655,16 @@ def _string_C(doc):
     doc["C"] = "3"
 
 
+def _boolean_L(doc):
+    doc["L"] = True
+
+
 class TestGraphFromJson:
     @pytest.mark.parametrize("corrupt", [_drop_edge, _swap_vertices, _add_edge,
                                          _unknown_family, _self_loop, _edge_out_of_range,
                                          _more_levels_than_listed, _huge_level, _no_edges,
                                          _no_vertices,
-                                         _non_string_vertex, _fractional_C, _string_C])
+                                         _non_string_vertex, _fractional_C, _string_C, _boolean_L])
     def test_non_canonical_document_is_refused(self, corrupt):
         doc = json.loads(export(build_wkp(3, 2), "json"))
         assert graph_from_json(json.dumps(doc)) == build_wkp(3, 2)
