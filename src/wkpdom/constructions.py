@@ -90,7 +90,7 @@ def gamma_formula(C: int, L: int, k: int) -> GammaValue:
     return GammaValue((L + 3) // 3, False)  # ceil((L+1)/3)
 
 
-def _ham_path(C: int, m: int, ends: list[int]) -> list[int]:
+def _ham_path(C: int, m: int, ends: list[int], memo: dict) -> list[int]:
     """Hamiltonian path of WK(C, m) through the sub-meshes ``ends[1:-1]`` in order.
 
     Sub-mesh s = ends[t] is crossed from its extreme vertex toward a =
@@ -100,6 +100,7 @@ def _ham_path(C: int, m: int, ends: list[int]) -> list[int]:
     attaches at i (j)^(m-1) and j (i)^(m-1); toward itself, a sub-mesh's
     extreme vertex is that of WK(C, m).  A string is its base-C value, so
     sub-mesh s holds the values s C^(m-1) + x, x a string of WK(C, m-1).
+    That inner path depends on (m, a, b) alone, so ``memo`` keeps each one.
     """
     if m == 1:
         return ends[1:-1]
@@ -107,9 +108,12 @@ def _ham_path(C: int, m: int, ends: list[int]) -> list[int]:
     size = C ** (m - 1)
     for t in range(1, len(ends) - 1):
         a, b = ends[t - 1], ends[t + 1]
-        inner = [a, a, *(d for d in range(C) if d not in (a, b)), b, b]
+        inner = memo.get((m, a, b))
+        if inner is None:
+            ends_ab = [a, a, *(d for d in range(C) if d not in (a, b)), b, b]
+            inner = memo[m, a, b] = _ham_path(C, m - 1, ends_ab, memo)
         base = ends[t] * size
-        path += [base + x for x in _ham_path(C, m - 1, inner)]
+        path += [base + x for x in inner]
     return path
 
 
@@ -126,7 +130,7 @@ def ham_cycle_wk(C: int, m: int) -> tuple[int, ...]:
         raise ParameterDomainError(f"a Hamiltonian cycle needs C >= 3, got C={C}")
     if m < 1:
         raise ParameterDomainError(f"m must be >= 1, got {m}")
-    return tuple(_ham_path(C, m, [C - 1, *range(C), 0]))
+    return tuple(_ham_path(C, m, [C - 1, *range(C), 0], {}))
 
 
 def _bridge_cliques(C: int, a: int, b: int) -> tuple[int, int] | None:

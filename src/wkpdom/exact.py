@@ -40,7 +40,7 @@ import itertools
 import math
 from typing import Callable, Iterator, NamedTuple
 
-from .topology import ParameterDomainError, PyramidGraph, check_k
+from .topology import ParameterDomainError, PyramidGraph, check_cap, check_k
 
 #: How often the progress callback fires, in propagation checks.
 PROGRESS_INTERVAL = 5_000
@@ -61,8 +61,7 @@ class SearchBudget:
     __slots__ = ("max_subset_count",)
 
     def __init__(self, max_subset_count: int = DEFAULT_MAX_CHECKS):
-        if max_subset_count < 1:
-            raise ParameterDomainError("max_subset_count must be positive")
+        check_cap("max_subset_count", max_subset_count)
         self.max_subset_count = max_subset_count
 
 

@@ -20,20 +20,26 @@ shown above.  It works on the adjacency rows and two per-vertex lists: the
 round at which each vertex was first monitored, and its count of
 unmonitored neighbors, which for a monitored vertex is its count of
 unmonitored closed neighbors (a list of ints, since degrees exceed 255 for
-large C).  Between rounds, every vertex first monitored in round t is
-counted out of its neighbors' counts, so counts stay frozen within a round
-and rounds stay simultaneous.  Round 1 examines every vertex of P_0.
-Round t+1 examines the vertices new in round t and the older monitored
-vertices whose count fell to k while those were counted.  No other vertex
-can fire anything new: it either kept its count, so it fired already or
-still cannot, or its count was at most k already when it was last
-examined, so it fired then.  A vertex is new once, falls to k at most
-once, and fires with an unmonitored neighbor at most once, so a whole run
-reads |S| rows for N[S], n for the initial counts, at most n to count new
-vertices and at most min(n, 2|E|) to fire: at most |S| + 2n + 2|E| rows
-and O(n + |E|) work, however many rounds it takes.  No n-bit set is ever
-built.  The loop ends once it has counted n monitored vertices or a
-round monitors nothing new, so it knows its verdict when it stops.
+large C).  Round 0's counts are taken from the smaller side of N[S]: when
+2|N[S]| <= n, every degree less the rows of N[S]; otherwise the rows of the
+vertices outside N[S], added up from zero.  After each later round t,
+every vertex first monitored in round t is counted out of its neighbors'
+counts, so counts stay frozen within a round and rounds stay
+simultaneous; the round that monitors the last vertex is not counted out.
+Round 1 examines every vertex of P_0.  Round t+1 examines the vertices new
+in round t and the older monitored vertices whose count fell to k while
+those were counted.  No other vertex can fire anything new: it either kept
+its count, so it fired already or still cannot, or its count was at most k
+already when it was last examined, so it fired then.  A vertex is new
+once, falls to k at most once, and fires with an unmonitored neighbor at
+most once, so a whole run reads |S| rows for N[S]; for round 0's counts
+either every row's length and the |N[S]| rows of N[S], or the n - |N[S]|
+rows outside it; at most n - |N[S]| to count later new vertices out; and
+at most min(n, 2|E|) to fire.  That is at most |S| + 2n + 2|E| rows, and
+|S| + 2(n - |N[S]|) + 2|E| when 2|N[S]| > n, and O(n + |E|) work, however
+many rounds it takes.  No n-bit set is ever built.  The loop ends once it
+has counted n monitored vertices or a round monitors nothing new, so it
+knows its verdict when it stops.
 ``MonitorTrace`` is the one result of a run: the round of every vertex
 and that verdict, stored as ``covered``, from which ``radius`` follows;
 ``is_kpds`` and ``radius_of_set`` return its ``covered`` and ``radius``
@@ -83,13 +89,36 @@ def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int, bool]:
     """
     n = len(adj)
     first = [NEVER] * n
-    new = _closed(adj, S, first)
-    covered = len(new)
+    examine = _closed(adj, S, first)
+    covered = len(examine)
     # Unmonitored neighbors of each vertex; for a monitored vertex, the only
     # kind ever examined, that is its count of unmonitored closed neighbors.
-    unmon = list(map(len, adj))
+    # Round 0's counts come from the smaller side of N[S]: every degree less
+    # the rows of N[S], or the rows outside N[S] added up from zero.
+    if 2 * covered <= n:
+        unmon = list(map(len, adj))
+        for u in examine:
+            for w in adj[u]:
+                unmon[w] -= 1
+    else:
+        unmon = [0] * n
+        for u, s in enumerate(first):
+            if s is NEVER:
+                for w in adj[u]:
+                    unmon[w] += 1
     t = 0
     while covered < n:
+        t += 1
+        new = []
+        for v in examine:
+            if 0 < unmon[v] <= k:
+                for w in adj[v]:
+                    if first[w] is NEVER:
+                        first[w] = t
+                        new.append(w)
+        covered += len(new)
+        if not new or covered == n:
+            break
         # Count the vertices of new_t out of their neighbors' counts; an
         # older monitored vertex whose count falls to k can now fire.
         fell = []
@@ -99,18 +128,7 @@ def _run(adj: Rows, k: int, S: Iterable[int]) -> tuple[list, int, bool]:
                 unmon[w] = c
                 if c == k and first[w] < t:
                     fell.append(w)
-        t += 1
-        nxt = []
-        for v in new + fell:
-            if 0 < unmon[v] <= k:
-                for w in adj[v]:
-                    if first[w] is NEVER:
-                        first[w] = t
-                        nxt.append(w)
-        if not nxt:
-            break
-        covered += len(nxt)
-        new = nxt
+        examine = new + fell
     return first, t, covered == n
 
 

@@ -84,6 +84,14 @@ def check_dimensions(C: int, L: int) -> None:
             raise ParameterDomainError(f"{name} must be >= 1, got {x}")
 
 
+def check_cap(name: str, cap: int) -> None:
+    """Refuse a cap that is not an int (bools included) or is below 1."""
+    if type(cap) is not int:
+        raise ParameterDomainError(f"{name} must be an int, got {cap!r}")
+    if cap < 1:
+        raise ParameterDomainError(f"{name} must be positive")
+
+
 def check_k(k: int) -> None:
     """Refuse a k that is not an int (bools included) or is negative; k=0 is plain domination."""
     if type(k) is not int:
@@ -195,13 +203,13 @@ class PyramidGraph:
     def __init__(self, family: str, C: int, L: int, max_vertices: int = DEFAULT_MAX_VERTICES):
         """Check the parameters, then build every row of ``family``(C, L) (see ``_rows``).
 
-        A cap below 1, C < 1, L < 1, an unknown family and a graph of more
-        than ``max_vertices`` vertices are refused.  WKP(C, L) has at least
-        L + 1 vertices and, for C >= 2, either family at least 2^L, so an L
-        too long for the cap is refused before any power of C is computed.
+        A cap that is not an int or is below 1, C < 1, L < 1, an unknown
+        family and a graph of more than ``max_vertices`` vertices are
+        refused.  WKP(C, L) has at least L + 1 vertices and, for C >= 2,
+        either family at least 2^L, so an L too long for the cap is refused
+        before any power of C is computed.
         """
-        if max_vertices < 1:
-            raise ParameterDomainError("max_vertices must be positive")
+        check_cap("max_vertices", max_vertices)
         check_dimensions(C, L)
         if family not in (WK, WKP):
             raise ParameterDomainError(f"unknown graph family {family!r}")

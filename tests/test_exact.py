@@ -88,6 +88,11 @@ class TestMinKpds:
         assert SearchBudget().max_subset_count == exact.DEFAULT_MAX_CHECKS
         assert SearchBudget(1).max_subset_count == 1
 
+    @pytest.mark.parametrize("cap", [100.0, 2.5, True, "5"])
+    def test_budget_that_is_not_an_int_is_refused(self, cap):
+        with pytest.raises(ParameterDomainError, match="^max_subset_count must be an int, got "):
+            SearchBudget(cap)
+
     @pytest.mark.parametrize("k", [1.5, True])
     def test_a_k_that_is_not_an_int_is_refused(self, wkp32, k):
         with pytest.raises(ParameterDomainError, match="^k must be an int, got "):

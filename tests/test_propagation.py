@@ -204,6 +204,19 @@ class TestFixpoint:
         assert (result.round_count if prop is propagate_fixpoint else result) == 127
         assert 0 < rows.reads <= 2 * (g.n + 2 * g.edge_count)
 
+    def test_round_zero_counts_from_the_smaller_side(self):
+        # N[S] of the WKP(4,7) k=1 set covers 13,904 of 21,845 vertices, so
+        # round 0's counts read the 7,941 rows outside it; counting N[S] out
+        # of every degree read 39,000 rows in all.
+        g = build_wkp(4, 7)
+        S = sorted(construct_kpds(4, 7, 1)[0])
+        g.adjacency = rows = CountingRows(g.adjacency)
+        trace = propagate_fixpoint(g, 1, S)
+        outside = g.n - trace.first_step.count(0)
+        assert trace.covered and 2 * outside < g.n
+        assert rows.reads < 39_000
+        assert rows.reads <= len(S) + 2 * outside + min(g.n, 2 * g.edge_count)
+
     @pytest.mark.parametrize("g", GRAPHS, ids=["wkp32", "wkp23"])
     @given(seed=seed_sets, extra=st.integers(min_value=0, max_value=12), k=ks)
     @settings(max_examples=60, deadline=None)
@@ -238,6 +251,54 @@ def test_engine_and_exact_kernel_agree_with_reference(family, C, L):
             assert propagate_fixpoint(g, k, S).radius == radius
             assert (math.inf if step is None else 1 + step) == radius
             assert [set(r) for r in propagate_fixpoint(g, k, S).rounds] == rounds
+
+
+def half_seed_sets(g, order):
+    """Seed sets around |N[S]| = n/2: (below, half, above).
+
+    Vertices join in ``order`` unless N[S] would pass n/2.  ``below`` is the
+    last set on the way whose 2|N[S]| < n; ``half`` is the final set, with
+    2|N[S]| <= n, equal where that order reaches it; ``above`` holds
+    ``half`` plus each vertex that was turned away, each with 2|N[S]| > n.
+    """
+    S, closed, below, above = [], set(), [], []
+    for v in order:
+        grown = closed | {v, *g.adjacency[v]}
+        if 2 * len(grown) > g.n:
+            above.append(S + [v])
+            continue
+        if 2 * len(grown) < g.n:
+            below = S + [v]
+        S, closed = S + [v], grown
+    return below, S, above
+
+
+@pytest.mark.parametrize("family,C,L", list(small_graphs()))
+def test_both_sides_of_half_agree_with_reference(family, C, L):
+    # Round 0's counts start from all degrees when 2|N[S]| <= n and from
+    # zero otherwise; both must give the naive rounds, also on S = V.
+    # Ordinals join from the apex down and from the last level up.
+    g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+    for order in (range(g.n), range(g.n - 1, -1, -1)):
+        below, half, above = half_seed_sets(g, order)
+        for k in range(4):
+            for S in [below, half, *above, range(g.n)]:
+                trace = propagate_fixpoint(g, k, S)
+                assert [set(r) for r in trace.rounds] == naive_fixpoint_rounds(g, k, S)
+                assert trace.radius == naive_radius(g, k, S)
+
+
+def test_half_seed_sets_reach_both_sides():
+    # Some graph has N[S] at exactly half, and for every k some run from
+    # above half stalls, so the counts from zero meet a fixpoint too.
+    at_half, stalled = 0, set()
+    for family, C, L in small_graphs():
+        g = build_wk(C, L) if family == "wk" else build_wkp(C, L)
+        _, half, above = half_seed_sets(g, range(g.n))
+        at_half += 2 * len(set(half).union(*(g.adjacency[v] for v in half))) == g.n
+        stalled |= {k for k in range(4) for S in above
+                    if not propagate_fixpoint(g, k, S).covered}
+    assert at_half and stalled == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("family,C,L", list(small_graphs(40)))

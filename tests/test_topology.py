@@ -232,6 +232,12 @@ class TestBuilders:
             with pytest.raises(ParameterDomainError, match="^max_vertices must be positive$"):
                 builder(1, 1, max_vertices=cap)
 
+    @pytest.mark.parametrize("cap", [100.0, 2.5, True, "5"])
+    def test_cap_that_is_not_an_int_rejected(self, cap):
+        for builder in (build_wk, build_wkp):
+            with pytest.raises(ParameterDomainError, match="^max_vertices must be an int, got "):
+                builder(3, 2, max_vertices=cap)
+
     def test_constructor_builds_the_whole_graph(self):
         assert PyramidGraph(WKP, 3, 2) == build_wkp(3, 2)
         assert PyramidGraph(WK, 3, 2) == build_wk(3, 2)
